@@ -6,7 +6,7 @@
 //
 //   malloc        — process-global operator new (the Java-allocator analogue)
 //   global-pool   — one mutex-protected free-list pool (worst case)
-//   thread-cache  — per-thread magazines over the shared pool (the fix)
+//   thread-cache  — per-thread pointer stacks over the shared pool (the fix)
 //   arena+leaky   — per-thread bump arenas, no reclamation (GC-free upper
 //                   bound on allocation speed)
 //
@@ -148,8 +148,8 @@ void real_threads(int duration_ms, const std::vector<std::size_t>& procs) {
 // per-node, and expired retire bundles free through one locked backend
 // trip per node (reclaim::set_batched_free(false), ctx.recycle_fresh =
 // false). "recycled" is the defaults: losers park their nodes in the
-// builder bin for the retry, and expired bundles land in thread-cache
-// magazines in one trip per size class. The contended cell (every update
+// builder bin for the retry, and expired bundles land on thread-cache
+// pointer stacks in one trip per size class. The contended cell (every update
 // CASes the one atom root) is where both mechanisms fire; the 1-thread
 // cell checks they cost nothing when they never trigger.
 struct RecycleArm {

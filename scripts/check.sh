@@ -77,6 +77,11 @@ smoke bench_ablation_structure --quick
 SMOKE_TAG=recycle smoke bench_ablation_alloc --quick \
   --json "$build_dir/BENCH_alloc_recycle.json" --assert-recycle
 
+# Smoke: 2 s runs of the repo benchmark's two workloads; their oracles
+# make a run exit 1 on any wrong answer.
+python3 "$repo_root/perfbench/run.py" --workload paper_batch --seconds 2
+python3 "$repo_root/perfbench/run.py" --workload store_mixed --seconds 2
+
 # Smoke: the deterministic-scheduler model checker. A separate build tree
 # because PATHCOPY_MODELCHECK=ON compiles the PC_YIELD decision points
 # into the protocols (the tier-1 binaries above stay the unmodified

@@ -1,5 +1,6 @@
 #include "alloc/pool_alloc.hpp"
 
+#include <algorithm>
 #include <new>
 
 #include "util/assert.hpp"
@@ -14,15 +15,10 @@ void* PoolBackend::allocate(std::size_t bytes, std::size_t align) {
     return ::operator new(bytes, std::align_val_t{align});
   }
   const std::size_t cls = class_of(bytes);
+  void* p = nullptr;
+  pop_batch(cls, &p, 1);
   stats_.on_alloc(class_bytes(cls));
-  std::lock_guard lock(mu_);
-  lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-  if (free_[cls] != nullptr) {
-    FreeNode* n = free_[cls];
-    free_[cls] = n->next;
-    return n;
-  }
-  return carve_locked(cls);
+  return p;
 }
 
 void PoolBackend::deallocate(void* p, std::size_t bytes, std::size_t align) noexcept {
@@ -33,12 +29,7 @@ void PoolBackend::deallocate(void* p, std::size_t bytes, std::size_t align) noex
   }
   const std::size_t cls = class_of(bytes);
   stats_.on_free(class_bytes(cls));
-  std::lock_guard lock(mu_);
-  lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-  check_class_locked(p, cls);
-  auto* n = static_cast<FreeNode*>(p);
-  n->next = free_[cls];
-  free_[cls] = n;
+  push_batch(cls, &p, 1);
 }
 
 void PoolBackend::free_batch(void* const* items, std::size_t n, std::size_t bytes,
@@ -60,16 +51,15 @@ std::size_t PoolBackend::pop_batch(std::size_t size_class, void** out, std::size
   PC_DASSERT(size_class < kClasses, "size class out of range");
   std::lock_guard lock(mu_);
   lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-  std::size_t got = 0;
-  while (got < n && free_[size_class] != nullptr) {
-    FreeNode* node = free_[size_class];
-    free_[size_class] = node->next;
-    out[got++] = node;
+  std::vector<void*>& stack = free_[size_class];
+  const std::size_t got = std::min(n, stack.size());
+  if (got < n) {
+    // Carve before popping, so a throw leaves the stack untouched.
+    carve_locked(size_class, out + got, n - got);
   }
-  while (got < n) {
-    out[got++] = carve_locked(size_class);
-  }
-  return got;
+  std::copy(stack.end() - static_cast<std::ptrdiff_t>(got), stack.end(), out);
+  stack.resize(stack.size() - got);
+  return n;
 }
 
 void PoolBackend::push_batch(std::size_t size_class, void* const* items,
@@ -77,12 +67,23 @@ void PoolBackend::push_batch(std::size_t size_class, void* const* items,
   PC_DASSERT(size_class < kClasses, "size class out of range");
   std::lock_guard lock(mu_);
   lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < n; ++i) {
-    check_class_locked(items[i], size_class);
-    auto* node = static_cast<FreeNode*>(items[i]);
-    node->next = free_[size_class];
-    free_[size_class] = node;
-  }
+  std::vector<void*>& stack = free_[size_class];
+  // Capacity covers every carved block (carve_locked reserves it), so the
+  // insert below never reallocates; running past it means a double free.
+  PC_ASSERT(stack.size() + n <= stack.capacity(),
+            "more blocks freed than were carved for this size class");
+  for (std::size_t i = 0; i < n; ++i) check_class_locked(items[i], size_class);
+  stack.insert(stack.end(), items, items + n);
+}
+
+std::size_t PoolBackend::free_blocks(std::size_t size_class) {
+  std::lock_guard lock(mu_);
+  return free_[size_class].size();
+}
+
+std::size_t PoolBackend::carved_blocks(std::size_t size_class) {
+  std::lock_guard lock(mu_);
+  return carved_[size_class];
 }
 
 void PoolBackend::check_class_locked(const void* p, std::size_t size_class) noexcept {
@@ -96,19 +97,32 @@ void PoolBackend::check_class_locked(const void* p, std::size_t size_class) noex
 #endif
 }
 
-void* PoolBackend::carve_locked(std::size_t size_class) {
-  const std::size_t sz = class_bytes(size_class);
-  if (static_cast<std::size_t>(end_ - bump_) < sz) {
-    slabs_.push_back(std::make_unique<char[]>(kSlabBytes));
-    bump_ = slabs_.back().get();
-    end_ = bump_ + kSlabBytes;
+void PoolBackend::carve_locked(std::size_t size_class, void** out, std::size_t n) {
+  std::vector<void*>& stack = free_[size_class];
+  const std::size_t need = carved_[size_class] + n;
+  if (need > stack.capacity()) {
+    stack.reserve(std::max(need, stack.capacity() + stack.capacity() / 2));
   }
-  char* p = bump_;
-  bump_ += sz;
+  const std::size_t sz = class_bytes(size_class);
+  std::size_t done = 0;
+  try {
+    for (; done < n; ++done) {
+      if (static_cast<std::size_t>(end_ - bump_) < sz) {
+        slabs_.push_back(std::make_unique<char[]>(kSlabBytes));
+        bump_ = slabs_.back().get();
+        end_ = bump_ + kSlabBytes;
+      }
 #ifndef NDEBUG
-  carved_class_.emplace(p, static_cast<std::uint32_t>(size_class));
+      carved_class_.emplace(bump_, static_cast<std::uint32_t>(size_class));
 #endif
-  return p;
+      out[done] = bump_;
+      bump_ += sz;
+      ++carved_[size_class];
+    }
+  } catch (...) {
+    stack.insert(stack.end(), out, out + done);
+    throw;
+  }
 }
 
 }  // namespace pathcopy::alloc

@@ -1,12 +1,28 @@
 // Globally shared, mutex-protected size-class pool.
 //
-// This is the *intentionally contended* allocator: every allocate and free
-// takes one process-wide lock. It exists as the lower bound in the
-// allocator ablation (experiment E6) — the paper conjectures that a shared
-// allocator is what caps scaling at high process counts (Appendix B), and
-// this policy lets us reproduce that collapse on demand. ThreadCache
-// (thread_cache_alloc.hpp) layers per-thread magazines on top of the same
-// backend to remove the contention.
+// Every allocate and free on this class takes one process-wide lock. On
+// its own (PoolView) it is the *intentionally contended* allocator: the
+// lower bound in the allocator ablation (experiment E6), reproducing the
+// shared-allocator collapse the paper conjectures in Appendix B.
+// ThreadCache (thread_cache_alloc.hpp) layers per-thread pointer stacks on
+// top of it and comes here only to refill or spill a batch.
+//
+// Free blocks are kept as a stack of pointers per size class, not as an
+// intrusive list threaded through the blocks. A pop_batch/push_batch trip
+// therefore copies pointers and never reads or writes a freed block under
+// the mutex: an intrusive push would store a `next` pointer into every
+// cold block, and an intrusive pop would chase one dependent cache miss
+// per block (the per-block cost Bonwick & Adams' magazine layer, USENIX
+// ATC 2001, was designed to avoid).
+//
+// The stacks never grow on a free path. A size class's free blocks can
+// never outnumber the blocks carved for it, so carve reserves stack
+// capacity for every block it creates (on the allocating path, which may
+// throw) and push_batch / deallocate / free_batch stay noexcept.
+//
+// Memory cost: the reserve grows a stack by half its capacity at a time,
+// so each carved block, live or free, reserves 8 to 12 bytes of stack;
+// only the part the stack has ever filled is written.
 #pragma once
 
 #include <cstddef>
@@ -41,11 +57,14 @@ class PoolBackend {
     deallocate(p, bytes, align);
   }
 
-  /// Pops up to n blocks of the given size class into out; carves fresh
-  /// slab space if the free list runs dry. Returns the number provided.
+  /// Pops n blocks of the given size class into out, the most recently
+  /// freed first; carves fresh slab space if the free stack runs dry.
+  /// Returns n. On a throw (bad_alloc) every block it took or carved is
+  /// back on the free stack.
   std::size_t pop_batch(std::size_t size_class, void** out, std::size_t n);
 
-  /// Returns n blocks of the given size class to the shared free list.
+  /// Returns n blocks of the given size class to the shared free stack.
+  /// Copies n pointers; never touches the blocks and never allocates.
   void push_batch(std::size_t size_class, void* const* items, std::size_t n) noexcept;
 
   /// Batch twin of free_bytes: returns n same-size blocks in ONE locked
@@ -54,11 +73,11 @@ class PoolBackend {
   void free_batch(void* const* items, std::size_t n, std::size_t bytes,
                   std::size_t align) noexcept;
 
-  static std::size_t class_of(std::size_t bytes) noexcept {
+  static constexpr std::size_t class_of(std::size_t bytes) noexcept {
     const std::size_t sz = util::round_up(bytes < kGranule ? kGranule : bytes, kGranule);
     return sz / kGranule - 1;
   }
-  static std::size_t class_bytes(std::size_t size_class) noexcept {
+  static constexpr std::size_t class_bytes(std::size_t size_class) noexcept {
     return (size_class + 1) * kGranule;
   }
 
@@ -67,21 +86,25 @@ class PoolBackend {
     return lock_acquisitions_.load(std::memory_order_relaxed);
   }
 
- private:
-  struct FreeNode {
-    FreeNode* next;
-  };
+  /// Blocks of the class on the shared free stack / ever carved for it.
+  /// Once every cache has flushed and nothing is live, the two agree.
+  std::size_t free_blocks(std::size_t size_class);
+  std::size_t carved_blocks(std::size_t size_class);
 
-  // Pre: mu_ held.
-  void* carve_locked(std::size_t size_class);
+ private:
+  // Pre: mu_ held. Carves n blocks of the class into out, reserving free
+  // stack room for them first. On a throw, the blocks this call already
+  // carved go onto the free stack.
+  void carve_locked(std::size_t size_class, void** out, std::size_t n);
   // Pre: mu_ held. Debug-only: asserts p was carved for size_class (a
-  // carved block's class is permanent — free lists never mix classes), so
-  // a retire path that reports a different size than it allocated trips
-  // here instead of silently corrupting a free list.
+  // carved block's class is permanent — free stacks never mix classes),
+  // so a retire path that reports a different size than it allocated
+  // trips here instead of silently corrupting a free stack.
   void check_class_locked(const void* p, std::size_t size_class) noexcept;
 
   std::mutex mu_;
-  FreeNode* free_[kClasses]{};
+  std::vector<void*> free_[kClasses];
+  std::size_t carved_[kClasses]{};
   std::vector<std::unique_ptr<char[]>> slabs_;
   char* bump_ = nullptr;
   char* end_ = nullptr;

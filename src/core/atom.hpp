@@ -148,7 +148,7 @@ class Atom {
   /// skips the CAS entirely — the paper's "unsuccessful modification".
   template <class F>
   UpdateResult update(Ctx& ctx, F&& f) {
-    Builder<Alloc> builder(*ctx.alloc);
+    Builder<Alloc> builder(*ctx.alloc, ctx.builder_buffers);
     builder.set_recycling(ctx.recycle_fresh);
     RecycleScope<Alloc> recycle_scope(ctx.stats, builder);
     for (;;) {

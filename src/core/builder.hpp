@@ -28,6 +28,13 @@
 // allocator only when the builder dies. set_recycling(false) restores the
 // immediate-deallocate behaviour for A/B measurement.
 //
+// A builder lives for one update, but its working vectors need not: built
+// over a BuilderBuffers (ThreadContext owns one per thread), it borrows
+// those vectors for its lifetime and hands them back, emptied but with
+// their capacity, when it dies. A thread's updates then record their
+// paths without heap allocation once the buffers have grown to the
+// thread's largest attempt.
+//
 // seal() must be called after the candidate is final and before the CAS:
 // it downgrades surviving fresh nodes to kPublished while they are still
 // thread-private, so no post-publication write to shared memory occurs.
@@ -55,22 +62,63 @@ struct BuilderStats {
   std::uint64_t reused = 0;    // create() calls served from the bin
 };
 
+namespace detail {
+
+/// A node the current attempt allocated, with how to destroy and free it.
+struct FreshRec {
+  void* p;
+  void (*dtor)(void*) noexcept;
+  std::uint32_t bytes;
+  std::uint32_t align;
+};
+
+/// One size class's parked blocks. A structure typically allocates one
+/// or two node types, so linear search over the bins beats any map.
+struct Bin {
+  std::uint32_t bytes;
+  std::uint32_t align;
+  std::vector<void*> blocks;
+};
+
+}  // namespace detail
+
+/// Buffers a Builder borrows so their capacity outlives it (see above).
+/// Between builders every vector is empty; each bin keeps its size class
+/// and capacity but holds no blocks.
+struct BuilderBuffers {
+  std::vector<detail::FreshRec> fresh;
+  std::vector<reclaim::Retired> superseded;
+  std::vector<detail::Bin> bins;
+};
+
 template <class Alloc>
 class Builder {
  public:
   using RetireBackend = typename Alloc::RetireBackend;
 
   explicit Builder(Alloc& alloc) noexcept : alloc_(&alloc) {}
+  /// Borrows the buffers' vectors until the builder dies. A nested
+  /// builder over the same buffers just starts with empty vectors.
+  Builder(Alloc& alloc, BuilderBuffers& buffers) noexcept
+      : alloc_(&alloc), buffers_(&buffers) {
+    swap_buffers();
+  }
   Builder(const Builder&) = delete;
   Builder& operator=(const Builder&) = delete;
 
   /// Anything not committed is treated as a failed attempt.
   ~Builder() {
     if (!resolved_) rollback();
-    for (const Bin& bin : bins_) {
+    for (Bin& bin : bins_) {
       for (void* p : bin.blocks) {
         alloc_->deallocate(p, bin.bytes, bin.align);
       }
+      bin.blocks.clear();
+    }
+    if (buffers_ != nullptr) {
+      fresh_.clear();
+      superseded_.clear();
+      swap_buffers();
     }
   }
 
@@ -136,8 +184,11 @@ class Builder {
     sealed_ = true;
   }
 
-  /// CAS won: recycle fresh-dead nodes, hand back the retire set.
-  std::vector<reclaim::Retired> commit() noexcept {
+  /// CAS won: recycle fresh-dead nodes, hand over the retire set. The set
+  /// stays the builder's buffer: a reclaimer that copies the records out
+  /// and clears it (EBR) leaves its capacity for the next attempt; one
+  /// that keeps the vector (per-bundle reclaimers) moves it away.
+  std::vector<reclaim::Retired>&& commit() noexcept {
     PC_DASSERT(sealed_, "commit without seal");
     for (const FreshRec& rec : fresh_) {
       PNode* node = static_cast<PNode*>(rec.p);
@@ -167,6 +218,7 @@ class Builder {
   /// deliberately kept: its blocks feed the retry's create() calls.
   void reset() noexcept {
     if (!resolved_) rollback();
+    superseded_.clear();  // a committed set the caller did not take
     resolved_ = false;
     sealed_ = false;
   }
@@ -193,20 +245,14 @@ class Builder {
   std::uint64_t reused_count() const noexcept { return stats_.reused; }
 
  private:
-  struct FreshRec {
-    void* p;
-    void (*dtor)(void*) noexcept;
-    std::uint32_t bytes;
-    std::uint32_t align;
-  };
+  using FreshRec = detail::FreshRec;
+  using Bin = detail::Bin;
 
-  /// One size class's parked blocks. A structure typically allocates one
-  /// or two node types, so linear search over bins_ beats any map.
-  struct Bin {
-    std::uint32_t bytes;
-    std::uint32_t align;
-    std::vector<void*> blocks;
-  };
+  void swap_buffers() noexcept {
+    fresh_.swap(buffers_->fresh);
+    superseded_.swap(buffers_->superseded);
+    bins_.swap(buffers_->bins);
+  }
 
   template <class N>
   static void dtor_thunk(void* p) noexcept {
@@ -241,6 +287,7 @@ class Builder {
   }
 
   Alloc* alloc_;
+  BuilderBuffers* buffers_ = nullptr;
   std::vector<FreshRec> fresh_;
   std::vector<reclaim::Retired> superseded_;
   std::vector<Bin> bins_;

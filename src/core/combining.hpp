@@ -213,7 +213,7 @@ class CombiningAtom {
                      std::span<bool> results_out) {
     PC_ASSERT(results_out.size() >= reqs.size(),
               "execute_batch result span too small");
-    BuilderT builder(*ctx.alloc);
+    BuilderT builder(*ctx.alloc, ctx.builder_buffers);
     builder.set_recycling(ctx.recycle_fresh);
     RecycleScope<Alloc> recycle_scope(ctx.stats, builder);
     std::size_t done = 0;
@@ -283,7 +283,7 @@ class CombiningAtom {
 #endif
       std::vector<BatchOp> ops;
       std::vector<BatchOutcome> outs;
-      Builder<Alloc> builder(*ctx.alloc);
+      Builder<Alloc> builder(*ctx.alloc, ctx.builder_buffers);
       builder.set_recycling(ctx.recycle_fresh);
       RecycleScope<Alloc> recycle_scope(ctx.stats, builder);
       std::size_t done = 0;
@@ -398,7 +398,7 @@ class CombiningAtom {
       std::vector<BatchOutcome> outs;
       std::vector<unsigned> chain_begin, chain_end;
       typename DS::KeyCompare cmp;
-      BuilderT builder(*ctx.alloc);
+      BuilderT builder(*ctx.alloc, ctx.builder_buffers);
       builder.set_recycling(ctx.recycle_fresh);
       RecycleScope<Alloc> recycle_scope(ctx.stats, builder);
       for (;;) {
@@ -515,7 +515,7 @@ class CombiningAtom {
   /// installed version — bench pre-fill, not for concurrent use.
   template <class It>
   void seed_sorted(Ctx& ctx, It first, It last) {
-    Builder<Alloc> builder(*ctx.alloc);
+    Builder<Alloc> builder(*ctx.alloc, ctx.builder_buffers);
     builder.set_recycling(ctx.recycle_fresh);
     RecycleScope<Alloc> recycle_scope(ctx.stats, builder);
     for (;;) {
@@ -686,7 +686,7 @@ class CombiningAtom {
       std::this_thread::yield();  // let other runnable updaters announce
     }
 
-    BuilderT builder(*ctx.alloc);
+    BuilderT builder(*ctx.alloc, ctx.builder_buffers);
     builder.set_recycling(ctx.recycle_fresh);
     RecycleScope<Alloc> recycle_scope(ctx.stats, builder);
     for (;;) {

@@ -9,12 +9,13 @@
 // if the allocator exposes a retire_sink() (ThreadCache) and the
 // reclaimer handle accepts one (the three real reclaimers), the handle is
 // wired to drop expired retire bundles straight into the allocator's
-// magazines. The declaration-order contract matters: declare the
-// allocator BEFORE the context (as ShardExecutor workers and the benches
-// do), so the context — and with it the handle, which clears its sink on
-// release — dies first.
+// per-class pointer stacks. The declaration-order contract matters:
+// declare the allocator BEFORE the context (as ShardExecutor workers and
+// the benches do), so the context — and with it the handle, which clears
+// its sink on release — dies first.
 #pragma once
 
+#include "core/builder.hpp"
 #include "core/stats.hpp"
 
 namespace pathcopy::core {
@@ -40,6 +41,9 @@ struct ThreadContext {
   SmrHandle smr_handle;
   Alloc* alloc;
   OpStats stats;
+  /// Buffers every Builder this thread's updates run on borrows, so an
+  /// update records its path without heap allocation.
+  BuilderBuffers builder_buffers;
   /// Feed a failed install attempt's nodes back to the next attempt via
   /// the builder's bin (default). Off restores the pre-recycling
   /// allocate-afresh-per-retry behaviour for A/B measurement.

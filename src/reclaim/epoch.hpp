@@ -95,7 +95,7 @@ class EpochReclaimer {
 
   // Frees the bucket's contents if its epoch is at least two behind now.
   // `sink` (nullable) routes ripened blocks into the owning thread's
-  // magazine cache; only the owner thread may pass a non-null sink.
+  // thread cache; only the owner thread may pass a non-null sink.
   void maybe_free_bucket(Guard::Rec& rec, std::size_t idx, std::uint64_t now,
                          const RetireSink* sink);
 
@@ -147,7 +147,7 @@ class EpochReclaimer::ThreadHandle {
   ThreadHandle& operator=(const ThreadHandle&) = delete;
   ~ThreadHandle() { release(); }
 
-  /// Routes this thread's expired bundles into a local magazine cache.
+  /// Routes this thread's expired bundles into a local thread cache.
   /// The sink's object must outlive the handle (it is cleared on
   /// release, which runs before a stack-ordered ThreadCache dies).
   void set_retire_sink(const RetireSink& sink) noexcept {

@@ -74,7 +74,7 @@ class HazardRootReclaimer {
     ThreadHandle& operator=(const ThreadHandle&) = delete;
     ~ThreadHandle() { release(); }
 
-    /// Routes bundles this thread's scans ripen into a local magazine
+    /// Routes bundles this thread's scans ripen into a local thread
     /// cache. Handle-local: the sink dies with the handle, which a
     /// stack-ordered ThreadCache outlives.
     void set_retire_sink(const RetireSink& sink) noexcept { sink_ = sink; }

@@ -11,7 +11,7 @@
 // once, free_all() runs every destructor, then returns the raw blocks in
 // size-class groups — one backend trip per (backend, size class) instead
 // of one mutex acquisition per node. A RetireSink lets the reclaiming
-// thread absorb those groups straight into its own magazine allocator
+// thread absorb those groups straight into its own thread cache
 // (ThreadCache), closing the allocate -> retire -> recycle loop without
 // touching the shared backend at all in steady state.
 #pragma once
@@ -81,7 +81,7 @@ struct Bundle {
   std::vector<Retired> nodes;
 };
 
-/// Type-erased hook into the reclaiming thread's local magazine cache.
+/// Type-erased hook into the reclaiming thread's local thread cache.
 /// accept() takes a whole same-size group or refuses it (wrong backend,
 /// oversize class); refused groups fall through to the backend. The
 /// object behind `obj` must outlive the reclaimer handle it is
@@ -117,7 +117,9 @@ inline bool batched_free_enabled() noexcept {
 /// first, then the raw blocks grouped by (backend, size class) — one
 /// sink absorption or one backend trip per group. A bundle is typically
 /// one copied path of one node type, so the common case is exactly one
-/// group.
+/// group. Each group is gathered into a pointer buffer the calling thread
+/// reuses, so freeing allocates nothing once that buffer has grown; it is
+/// sized before any destructor runs, so a bad_alloc frees nothing.
 inline void free_all(std::vector<Retired>& v,
                      const RetireSink* sink = nullptr) {
   if (v.empty()) return;
@@ -125,39 +127,28 @@ inline void free_all(std::vector<Retired>& v,
     run_all(v);
     return;
   }
+  thread_local std::vector<void*> ptrs;
+  ptrs.reserve(v.size());
   for (const Retired& r : v) r.dtor(r.p);
-  struct Group {
-    void (*free_many)(void*, void* const*, std::size_t, std::size_t,
-                      std::size_t) noexcept;
-    void* ctx;
-    std::uint32_t bytes;
-    std::uint32_t align;
-    std::vector<void*> ptrs;
-  };
-  std::vector<Group> groups;
-  for (const Retired& r : v) {
-    Group* g = nullptr;
-    for (Group& cand : groups) {
-      if (cand.free_many == r.free_many && cand.ctx == r.ctx &&
-          cand.bytes == r.bytes && cand.align == r.align) {
-        g = &cand;
-        break;
+  // One pass per group; a gathered record's p is cleared.
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (v[i].p == nullptr) continue;
+    const Retired g = v[i];
+    ptrs.clear();
+    for (std::size_t j = i; j < v.size(); ++j) {
+      Retired& r = v[j];
+      if (r.p != nullptr && r.free_many == g.free_many && r.ctx == g.ctx &&
+          r.bytes == g.bytes && r.align == g.align) {
+        ptrs.push_back(r.p);
+        r.p = nullptr;
       }
     }
-    if (g == nullptr) {
-      groups.push_back(Group{r.free_many, r.ctx, r.bytes, r.align, {}});
-      g = &groups.back();
-      g->ptrs.reserve(v.size());
-    }
-    g->ptrs.push_back(r.p);
-  }
-  for (Group& g : groups) {
     if (sink != nullptr && sink->obj != nullptr &&
-        sink->accept(sink->obj, g.ctx, g.ptrs.data(), g.ptrs.size(), g.bytes,
+        sink->accept(sink->obj, g.ctx, ptrs.data(), ptrs.size(), g.bytes,
                      g.align)) {
       continue;
     }
-    g.free_many(g.ctx, g.ptrs.data(), g.ptrs.size(), g.bytes, g.align);
+    g.free_many(g.ctx, ptrs.data(), ptrs.size(), g.bytes, g.align);
   }
   v.clear();
 }

@@ -193,18 +193,38 @@ TEST(ThreadCache, AllocWithinMagazineAvoidsBackendLocks) {
   EXPECT_EQ(pool.lock_acquisitions(), locks_after_refill);
 }
 
-TEST(ThreadCache, HighWaterFlushesHalf) {
+TEST(ThreadCache, FullStackSpillsOldestBatch) {
   alloc::PoolBackend pool;
   alloc::ThreadCache cache(pool);
+  constexpr std::size_t cls = alloc::PoolBackend::class_of(48);
+  constexpr std::size_t cap = alloc::ThreadCache::capacity(cls);
+  constexpr std::size_t batch = alloc::ThreadCache::batch(cls);
   std::vector<void*> blocks;
-  // kHighWater+1 frees trigger exactly one push_batch.
-  for (std::size_t i = 0; i <= alloc::ThreadCache::kHighWater; ++i) {
+  for (std::size_t i = 0; i <= cap; ++i) {
     blocks.push_back(cache.allocate(48, 8));
   }
-  for (void* p : blocks) cache.deallocate(p, 48, 8);
+  cache.flush();  // start the frees from an empty stack
+  const auto locks_before = pool.lock_acquisitions();
+  for (std::size_t i = 0; i < cap; ++i) cache.deallocate(blocks[i], 48, 8);
+  // capacity frees fill the stack to the brim without a backend trip...
+  EXPECT_EQ(pool.lock_acquisitions(), locks_before);
+  EXPECT_EQ(cache.cached(cls), cap);
+  // ...and one more spills exactly one batch, the oldest frees.
+  cache.deallocate(blocks[cap], 48, 8);
+  EXPECT_EQ(pool.lock_acquisitions(), locks_before + 1);
+  EXPECT_EQ(cache.cached(cls), cap + 1 - batch);
+  std::vector<void*> spilled(batch);
+  ASSERT_EQ(pool.pop_batch(cls, spilled.data(), batch), batch);
+  EXPECT_EQ(std::unordered_set<void*>(spilled.begin(), spilled.end()),
+            std::unordered_set<void*>(blocks.begin(), blocks.begin() + batch));
+  pool.push_batch(cls, spilled.data(), batch);
+  // The newest free is still on top.
+  EXPECT_EQ(cache.allocate(48, 8), blocks[cap]);
+  cache.deallocate(blocks[cap], 48, 8);
   // Everything is accounted for between cache and backend.
   cache.flush();
   EXPECT_EQ(cache.stats().live_blocks(), 0u);
+  EXPECT_EQ(pool.free_blocks(cls), pool.carved_blocks(cls));
 }
 
 TEST(ThreadCache, OversizeBypassesMagazines) {
@@ -314,24 +334,30 @@ TEST(ThreadCache, AcceptRetiredRefusesForeignBackendAndOversize) {
   pool.free_batch(blocks, 2, 48, 8);
 }
 
-TEST(ThreadCache, AcceptRetiredPastHighWaterFlushesBatched) {
+TEST(ThreadCache, AcceptRetiredPastCapacitySpillsOverflowBatched) {
   alloc::PoolBackend pool;
   alloc::ThreadCache cache(pool);
-  // Absorb 2*kHighWater retired blocks: the magazine must flush older
-  // halves in kBatch-sized push_batch trips, never overflow.
-  constexpr std::size_t kN = 2 * alloc::ThreadCache::kHighWater;
+  constexpr std::size_t cls = alloc::PoolBackend::class_of(64);
+  constexpr std::size_t cap = alloc::ThreadCache::capacity(cls);
+  constexpr std::size_t batch = alloc::ThreadCache::batch(cls);
+  // Prime the class: one refill batch sits on the stack.
+  cache.deallocate(cache.allocate(64, 8), 64, 8);
+  ASSERT_EQ(cache.cached(cls), batch);
+  // Absorb 2 * capacity retired blocks at once: the overflow goes back
+  // to the backend in two batched trips (the stack's old blocks, then the
+  // oldest of the group), never per block, and the stack ends full with
+  // the newest blocks of the group.
+  constexpr std::size_t kN = 2 * cap;
   std::vector<void*> retired(kN);
-  ASSERT_EQ(pool.pop_batch(alloc::PoolBackend::class_of(64), retired.data(), kN),
-            kN);
+  ASSERT_EQ(pool.pop_batch(cls, retired.data(), kN), kN);
   const auto locks_before = pool.lock_acquisitions();
   EXPECT_TRUE(cache.accept_retired(&pool, retired.data(), kN, 64, 8));
-  const auto flush_trips = pool.lock_acquisitions() - locks_before;
-  // Absorbing kN into a kHighWater magazine flushes the older half
-  // (kBatch blocks) each time the magazine refills: (kN - kHighWater) /
-  // kBatch trips — batched, never per-block.
-  EXPECT_EQ(flush_trips,
-            (kN - alloc::ThreadCache::kHighWater) / alloc::ThreadCache::kBatch);
+  EXPECT_EQ(pool.lock_acquisitions() - locks_before, 2u);
+  EXPECT_EQ(cache.cached(cls), cap);
+  EXPECT_EQ(cache.allocate(64, 8), retired.back());
+  cache.deallocate(retired.back(), 64, 8);
   cache.flush();
+  EXPECT_EQ(pool.free_blocks(cls), pool.carved_blocks(cls));
 }
 
 namespace {
@@ -423,6 +449,132 @@ TEST(RetireSink, CrossThreadRetireThenAllocReuse) {
     cache.deallocate(p, sizeof(RetireProbe), alignof(RetireProbe));
   });
   consumer.join();
+}
+
+// Freed blocks are never read or written by the free paths: every trip
+// copies pointers. An intrusive free list would overwrite each block's
+// first word with its `next` link, so this canary catches a regression.
+TEST(Pool, FreePathsLeaveFreedBlocksUntouched) {
+  constexpr std::size_t kBytes = 64;
+  constexpr std::size_t cls = alloc::PoolBackend::class_of(kBytes);
+  constexpr unsigned char kCanary = 0xc5;
+  constexpr std::size_t kN = 256;
+  alloc::PoolBackend pool;
+  alloc::ThreadCache cache(pool);
+  auto fill = [&](const std::vector<void*>& v) {
+    for (void* p : v) std::memset(p, kCanary, kBytes);
+  };
+  auto intact = [&](const std::vector<void*>& v) {
+    for (void* p : v) {
+      const auto* b = static_cast<const unsigned char*>(p);
+      for (std::size_t i = 0; i < kBytes; ++i) {
+        if (b[i] != kCanary) return false;
+      }
+    }
+    return true;
+  };
+  auto same_blocks = [](const std::vector<void*>& a, const std::vector<void*>& b) {
+    return std::unordered_set<void*>(a.begin(), a.end()) ==
+           std::unordered_set<void*>(b.begin(), b.end());
+  };
+  std::vector<void*> blocks(kN);
+  ASSERT_EQ(pool.pop_batch(cls, blocks.data(), kN), kN);
+  fill(blocks);
+  std::vector<void*> back(kN);
+
+  pool.push_batch(cls, blocks.data(), kN);
+  ASSERT_EQ(pool.pop_batch(cls, back.data(), kN), kN);
+  EXPECT_TRUE(same_blocks(back, blocks));
+  EXPECT_TRUE(intact(back)) << "push_batch/pop_batch";
+
+  pool.free_batch(blocks.data(), kN, kBytes, 8);
+  ASSERT_EQ(pool.pop_batch(cls, back.data(), kN), kN);
+  EXPECT_TRUE(same_blocks(back, blocks));
+  EXPECT_TRUE(intact(back)) << "free_batch";
+
+  alloc::PoolView view(pool);
+  view.deallocate(blocks[0], kBytes, 8);
+  EXPECT_EQ(view.allocate(kBytes, 8), blocks[0]);
+  EXPECT_TRUE(intact({blocks[0]})) << "deallocate/allocate";
+
+  // Into a thread cache and back out of it.
+  EXPECT_TRUE(cache.accept_retired(&pool, blocks.data(), kN, kBytes, 8));
+  for (void*& p : back) p = cache.allocate(kBytes, 8);
+  EXPECT_TRUE(same_blocks(back, blocks));
+  EXPECT_TRUE(intact(back)) << "accept_retired";
+
+  // Past the cache's capacity: the spill goes through push_batch.
+  const std::size_t big = alloc::ThreadCache::capacity(cls) + kN;
+  std::vector<void*> many(big);
+  ASSERT_EQ(pool.pop_batch(cls, many.data(), big), big);
+  fill(many);
+  EXPECT_TRUE(cache.accept_retired(&pool, many.data(), big, kBytes, 8));
+  cache.flush();
+  std::vector<void*> all(pool.free_blocks(cls));
+  ASSERT_EQ(pool.pop_batch(cls, all.data(), all.size()), all.size());
+  std::unordered_set<void*> canaried(many.begin(), many.end());
+  std::vector<void*> returned;
+  for (void* p : all) {
+    if (canaried.count(p) == 1) returned.push_back(p);
+  }
+  EXPECT_EQ(returned.size(), big);
+  EXPECT_TRUE(intact(returned)) << "spill + flush";
+  pool.push_batch(cls, all.data(), all.size());
+  pool.push_batch(cls, blocks.data(), kN);
+}
+
+namespace {
+/// A 64-byte node, the paper workload's treap-node size class.
+struct PathNode {
+  std::uint64_t words[8] = {};
+};
+}  // namespace
+
+// The steady state of path copying under EBR: a thread's updates publish
+// paths, the reclaimer later frees them a bucket at a time, and the next
+// updates allocate the bytes back. One ripe bucket of 128 retires x 32
+// nodes must be absorbed and reused locally, with no pool trip, both when
+// it lands as one group (EpochReclaimer frees a bucket with one free_all)
+// and bundle by bundle between allocations (the per-bundle reclaimers).
+TEST(ThreadCache, AbsorbsARipeEpochBucketWithoutPoolTrips) {
+  constexpr int kBundles = 128;
+  constexpr int kPath = 32;
+  alloc::PoolBackend pool;
+  alloc::ThreadCache cache(pool);
+  const reclaim::RetireSink sink = cache.retire_sink();
+  auto publish = [&] {
+    void* raw = cache.allocate(sizeof(PathNode), alignof(PathNode));
+    return reclaim::make_retired(new (raw) PathNode, &pool);
+  };
+  std::vector<reclaim::Retired> bucket;
+  for (int i = 0; i < kBundles * kPath; ++i) bucket.push_back(publish());
+  std::vector<std::vector<reclaim::Retired>> bundles(kBundles);
+  for (auto& b : bundles) b.reserve(kPath);
+  // One warm-up round sizes free_all's reused buffer.
+  reclaim::free_all(bucket, &sink);
+  for (int i = 0; i < kBundles * kPath; ++i) bucket.push_back(publish());
+
+  const auto locks_before = pool.lock_acquisitions();
+  const auto recycled_before = cache.stats().recycled.load();
+  // Whole bucket at once, then the next 128 updates' paths.
+  reclaim::free_all(bucket, &sink);
+  for (auto& b : bundles) {
+    for (int i = 0; i < kPath; ++i) b.push_back(publish());
+  }
+  // Bundle by bundle, each followed by one update's path.
+  for (auto& b : bundles) {
+    reclaim::free_all(b, &sink);
+    for (int i = 0; i < kPath; ++i) bucket.push_back(publish());
+  }
+  EXPECT_EQ(pool.lock_acquisitions(), locks_before);
+  EXPECT_EQ(cache.stats().recycled.load() - recycled_before,
+            static_cast<std::uint64_t>(2 * kBundles * kPath));
+
+  reclaim::free_all(bucket, &sink);
+  cache.flush();
+  EXPECT_EQ(cache.stats().live_blocks(), 0u);
+  const std::size_t cls = alloc::PoolBackend::class_of(sizeof(PathNode));
+  EXPECT_EQ(pool.free_blocks(cls), pool.carved_blocks(cls));
 }
 
 }  // namespace

@@ -8,13 +8,22 @@
 // fully valid. The FailingAlloc wrapper throws on the Nth allocation;
 // tests sweep N across the entire range an operation can allocate, so
 // every create<> call site in every structure gets to fail at least once.
+//
+// The allocator's own free paths get the complementary check: with every
+// heap allocation on the thread failing (the replaceable global operator
+// new below), a pointer stack that would need to grow cannot, and the
+// free paths must still neither throw nor lose a block.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <new>
+#include <unordered_set>
 #include <vector>
 
 #include "alloc/malloc_alloc.hpp"
+#include "alloc/pool_alloc.hpp"
+#include "alloc/thread_cache_alloc.hpp"
 #include "core/atom.hpp"
 #include "core/builder.hpp"
 #include "persist/btree.hpp"
@@ -25,8 +34,55 @@
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
+namespace {
+/// Heap allocations this thread may still make before operator new fails;
+/// negative means unlimited. Only the code between arming and disarming
+/// runs with a budget, so gtest's own allocations are unaffected.
+thread_local long g_new_budget = -1;
+
+bool new_may_succeed() noexcept {
+  if (g_new_budget < 0) return true;
+  if (g_new_budget == 0) return false;
+  --g_new_budget;
+  return true;
+}
+}  // namespace
+
+// Every non-aligned form is replaced, so new/delete pairs stay matched
+// (malloc/free underneath) also under the sanitizers' interceptors.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  void* p = new_may_succeed() ? std::malloc(n == 0 ? 1 : n) : nullptr;
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return new_may_succeed() ? std::malloc(n == 0 ? 1 : n) : nullptr;
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
 namespace pathcopy {
 namespace {
+
+/// Scoped allocation budget for the calling thread (see g_new_budget).
+class NewBudget {
+ public:
+  explicit NewBudget(long allocations) noexcept { g_new_budget = allocations; }
+  NewBudget(const NewBudget&) = delete;
+  NewBudget& operator=(const NewBudget&) = delete;
+  ~NewBudget() { g_new_budget = -1; }
+};
 
 /// Forwards to MallocAlloc but throws std::bad_alloc on allocation number
 /// `fail_at` (1-based). Deallocation always succeeds, so unwinding paths
@@ -259,6 +315,91 @@ TEST(FailureInjection, AtomUpdateSurvivesThrowingAttempt) {
     EXPECT_TRUE(atom.read(ctx, [](Treap t) { return t.check_invariants(); }));
   }
   EXPECT_EQ(base.stats().live_blocks(), 0u);
+}
+
+// The pool reserves free-stack room when it carves, and a thread cache
+// creates its pointer stack on the class's first use, so no free path
+// ever has to grow a stack. With every allocation failing, a stack that
+// would have to grow cannot: allocations throw bad_alloc, while the free
+// paths (noexcept: a throw would terminate) route blocks wherever they
+// fit. After a flush the pool's free stack holds every block it carved,
+// each exactly once.
+TEST(FailureInjection, FreePathsSurviveStacksThatCannotGrow) {
+  constexpr std::size_t kBytes = 64;
+  constexpr std::size_t cls = alloc::PoolBackend::class_of(kBytes);
+  constexpr std::size_t kN = 200;
+  for (long budget = 0; budget < 4; ++budget) {
+    alloc::PoolBackend pool;
+    alloc::PoolView view(pool);
+    std::vector<void*> blocks;
+    blocks.reserve(4 * kN);
+    for (std::size_t i = 0; i < 4 * kN; ++i) {
+      blocks.push_back(view.allocate(kBytes, 8));
+    }
+    alloc::ThreadCache cache(pool);  // no stack yet: it cannot create one
+    alloc::ThreadCache warm(pool);   // has a stack, but it is full
+    warm.deallocate(warm.allocate(kBytes, 8), kBytes, 8);
+    std::vector<void*> filler(alloc::ThreadCache::capacity(cls));
+    for (void*& p : filler) p = view.allocate(kBytes, 8);
+    ASSERT_TRUE(warm.accept_retired(&pool, filler.data(), filler.size(),
+                                    kBytes, 8));
+    std::vector<void*> raw(kN);  // moved by pop/push only, never counted
+    ASSERT_EQ(pool.pop_batch(cls, raw.data(), kN), kN);
+    std::vector<void*> out(pool.carved_blocks(cls) + kN);  // needs a reserve
+    const std::size_t carved_before = pool.carved_blocks(cls);
+    bool accepted = true;
+    bool alloc_threw = false;
+    bool pop_threw = false;
+    {
+      NewBudget armed(budget);
+      void* const* b = blocks.data();
+      for (std::size_t i = 0; i < kN; ++i) cache.deallocate(b[i], kBytes, 8);
+      accepted = cache.accept_retired(&pool, b + kN, kN, kBytes, 8);
+      if (!accepted) pool.free_batch(b + kN, kN, kBytes, 8);
+      warm.accept_retired(&pool, b + 2 * kN, kN / 2, kBytes, 8);
+      for (std::size_t i = 5 * kN / 2; i < 3 * kN; ++i) {
+        warm.deallocate(b[i], kBytes, 8);
+      }
+      pool.free_batch(b + 3 * kN, kN / 2, kBytes, 8);
+      for (std::size_t i = 7 * kN / 2; i < 4 * kN; ++i) {
+        view.deallocate(b[i], kBytes, 8);
+      }
+      pool.push_batch(cls, raw.data(), kN);
+      try {
+        void* p = cache.allocate(kBytes, 8);
+        cache.deallocate(p, kBytes, 8);
+      } catch (const std::bad_alloc&) {
+        alloc_threw = true;
+      }
+      try {
+        pool.pop_batch(cls, out.data(), out.size());
+        pool.push_batch(cls, out.data(), out.size());
+      } catch (const std::bad_alloc&) {
+        pop_threw = true;
+      }
+    }
+    if (budget == 0) {
+      EXPECT_FALSE(accepted) << "a stack that cannot be created refuses";
+      EXPECT_TRUE(alloc_threw);
+      EXPECT_TRUE(pop_threw);
+      EXPECT_EQ(pool.carved_blocks(cls), carved_before);
+    }
+    cache.flush();
+    warm.flush();
+    // Pool, cache and warm counters together balance (unsigned wrap: a
+    // cache counts frees of blocks the pool's own counters allocated).
+    EXPECT_EQ(pool.stats().live_blocks() + cache.stats().live_blocks() +
+                  warm.stats().live_blocks(),
+              0u)
+        << "budget " << budget;
+    const std::size_t carved = pool.carved_blocks(cls);
+    ASSERT_EQ(pool.free_blocks(cls), carved) << "budget " << budget;
+    std::vector<void*> all(carved);
+    ASSERT_EQ(pool.pop_batch(cls, all.data(), carved), carved);
+    EXPECT_EQ(std::unordered_set<void*>(all.begin(), all.end()).size(), carved)
+        << "budget " << budget << ": a block came back twice";
+    pool.push_batch(cls, all.data(), carved);
+  }
 }
 
 }  // namespace
