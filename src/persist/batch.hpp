@@ -113,17 +113,20 @@ inline void check_sorted_keys(std::span<const K> keys) {
 
 namespace detail {
 
-/// Tree-driven sorted-batch sweep shared by the comparison-balanced
-/// binary trees (AVL, weight-balanced, red-black): ops[lo, hi) are
-/// partitioned around each node's key with a binary search, untouched
-/// ranges return their subtree by pointer (an all-noop batch allocates
-/// nothing), and children reshaped by landing ops are relinked through
-/// the structure's own join discipline. Policy supplies the pieces on
-/// top of a binary node with key/value/left/right members:
+/// Tree-driven sorted-batch sweep of the join-tree core
+/// (persist/join_tree.hpp), run by the comparison-balanced binary trees
+/// (AVL, weight-balanced, red-black): ops[lo, hi) are partitioned around
+/// each node's key with a binary search, untouched ranges return their
+/// subtree by pointer (an all-noop batch allocates nothing), and children
+/// reshaped by landing ops are relinked through the scheme's join. The
+/// Policy is JoinTree's wiring over a binary node with key/value/left/right
+/// members:
 ///   using Node = ...; using KeyCompare = ...;
-///   static const Node* join(B&, key, value, l, r);   // keyed relink
-///   static const Node* join2(B&, l, r);              // key was erased
-///   static const Node* build_inserts(B&, ops, out, lo, hi);  // off-tree tail
+///   static const Node* join(B&, key, value, l, r);   // the scheme's join
+///   static const Node* join2(B&, l, r);              // key was erased:
+///                                  // the core pops r's min, then joins
+///   static const Node* build_inserts(B&, ops, out, lo, hi);  // off-tree
+///                                  // tail: the core's midpoint build
 /// (The treap is not a client: its sweep is priority-driven, not
 /// partition-driven, and the B-tree's works on piece runs.)
 template <class Policy, class B, class K, class V>

@@ -16,7 +16,9 @@
 // the resulting copy-cost difference.
 //
 // Size-augmented like every structure here: rank/kth/count_range are
-// O(log N), and a handle is a single root pointer.
+// O(log N), and a handle is a single root pointer. The handle, queries,
+// sweeps and utilities come from the join-tree core
+// (persist/join_tree.hpp).
 //
 // Supports the sorted-batch protocol (persist/batch.hpp): the sweep is
 // tree-driven like the AVL port — ops partition around each node's key —
@@ -31,72 +33,39 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_set>
-#include <utility>
-#include <vector>
+#include <tuple>
 
-#include "core/node_base.hpp"
-#include "persist/batch.hpp"
-#include "util/assert.hpp"
-#include "util/small_vec.hpp"
+#include "persist/join_tree.hpp"
 
 namespace pathcopy::persist {
 
+enum class RbColor : std::uint8_t { kRed = 0, kBlack = 1 };
+
+template <class K, class V>
+struct RbNode : core::PNode {
+  K key;
+  V value;
+  RbColor color;
+  std::uint64_t size;
+  const RbNode* left;
+  const RbNode* right;
+
+  RbNode(RbColor c, const RbNode* l, const K& k, const V& v, const RbNode* r)
+      : key(k), value(v), color(c),
+        size(1 + subtree_size(l) + subtree_size(r)),
+        left(l), right(r) {}
+};
+
 template <class K, class V, class Cmp = std::less<K>>
-class RbTree {
+class RbTree : public JoinTree<RbTree<K, V, Cmp>, K, V, Cmp, RbNode<K, V>> {
+  using Base = JoinTree<RbTree, K, V, Cmp, RbNode<K, V>>;
+  friend Base;
+
  public:
-  using KeyType = K;
-  using ValueType = V;
-  using KeyCompare = Cmp;
-  using BatchOp = persist::BatchOp<K, V>;
-  using BatchOpKind = persist::BatchOpKind;
-  using BatchOutcome = persist::BatchOutcome;
-  using ReadOutcome = persist::ReadOutcome<V>;
-  enum class Color : std::uint8_t { kRed = 0, kBlack = 1 };
-
-  struct Node : core::PNode {
-    K key;
-    V value;
-    Color color;
-    std::uint64_t size;
-    const Node* left;
-    const Node* right;
-
-    Node(Color c, const Node* l, const K& k, const V& v, const Node* r)
-        : key(k), value(v), color(c),
-          size(1 + size_of(l) + size_of(r)),
-          left(l), right(r) {}
-  };
-
-  RbTree() noexcept = default;
-
-  static RbTree from_root(const void* root) noexcept {
-    return RbTree{static_cast<const Node*>(root)};
-  }
-  const void* root_ptr() const noexcept { return root_; }
-  const Node* root_node() const noexcept { return root_; }
-
-  std::size_t size() const noexcept { return size_of(root_); }
-  bool empty() const noexcept { return root_ == nullptr; }
-
-  // ----- queries -----
-
-  const V* find(const K& key) const {
-    const Node* n = root_;
-    Cmp cmp;
-    while (n != nullptr) {
-      if (cmp(key, n->key)) {
-        n = n->left;
-      } else if (cmp(n->key, key)) {
-        n = n->right;
-      } else {
-        return &n->value;
-      }
-    }
-    return nullptr;
-  }
-
-  bool contains(const K& key) const { return find(key) != nullptr; }
+  using Color = RbColor;
+  using typename Base::BatchOp;
+  using typename Base::BatchOutcome;
+  using typename Base::Node;
 
   // ----- combining-gate clustering probe (core/combining.hpp) -----
   //
@@ -132,7 +101,7 @@ class RbTree {
                            std::size_t* ops_covered = nullptr) const {
     std::size_t covered = ops.size();
     unsigned runs = 0;
-    if (!ops.empty() && size_of(root_) <= kBatchVirtualLeaf) {
+    if (!ops.empty() && this->size() <= kBatchVirtualLeaf) {
       runs = 1;
     } else if (!ops.empty()) {
       Cmp cmp;
@@ -158,178 +127,34 @@ class RbTree {
     return runs;
   }
 
-  const Node* min_node() const {
-    const Node* n = root_;
-    while (n != nullptr && n->left != nullptr) n = n->left;
-    return n;
-  }
-
-  const Node* max_node() const {
-    const Node* n = root_;
-    while (n != nullptr && n->right != nullptr) n = n->right;
-    return n;
-  }
-
-  /// Largest key <= key, or nullptr.
-  const Node* floor_node(const K& key) const {
-    const Node* n = root_;
-    const Node* best = nullptr;
-    Cmp cmp;
-    while (n != nullptr) {
-      if (cmp(key, n->key)) {
-        n = n->left;
-      } else {
-        best = n;
-        n = n->right;
-      }
-    }
-    return best;
-  }
-
-  /// Smallest key >= key, or nullptr.
-  const Node* ceiling_node(const K& key) const {
-    const Node* n = root_;
-    const Node* best = nullptr;
-    Cmp cmp;
-    while (n != nullptr) {
-      if (cmp(n->key, key)) {
-        n = n->right;
-      } else {
-        best = n;
-        n = n->left;
-      }
-    }
-    return best;
-  }
-
-  /// Number of keys strictly less than key.
-  std::size_t rank(const K& key) const {
-    std::size_t r = 0;
-    const Node* n = root_;
-    Cmp cmp;
-    while (n != nullptr) {
-      if (cmp(n->key, key)) {
-        r += 1 + size_of(n->left);
-        n = n->right;
-      } else {
-        n = n->left;
-      }
-    }
-    return r;
-  }
-
-  /// The i-th smallest key (0-based); nullptr when i >= size().
-  const Node* kth(std::size_t i) const {
-    const Node* n = root_;
-    while (n != nullptr) {
-      const std::size_t ls = size_of(n->left);
-      if (i < ls) {
-        n = n->left;
-      } else if (i == ls) {
-        return n;
-      } else {
-        i -= ls + 1;
-        n = n->right;
-      }
-    }
-    return nullptr;
-  }
-
-  /// Keys in the half-open interval [lo, hi).
-  std::size_t count_range(const K& lo, const K& hi) const {
-    const std::size_t a = rank(lo);
-    const std::size_t b = rank(hi);
-    return b > a ? b - a : 0;
-  }
-
-  template <class F>
-  void for_each(F&& f) const {
-    for_each_rec(root_, f);
-  }
-
-  /// In-order visit restricted to [lo, hi): subtrees wholly outside the
-  /// interval are pruned at their root, so the visit costs O(hits + log n).
-  template <class F>
-  void for_each_range(const K& lo, const K& hi, F&& f) const {
-    for_each_range_rec(root_, lo, hi, f);
-  }
-
-  /// Descent-sharing batched lookup; see Treap::get_sorted_batch.
-  ReadProbeStats get_sorted_batch(std::span<const K> keys,
-                                  std::span<ReadOutcome> out) const {
-    PC_ASSERT(out.size() >= keys.size(),
-              "get_sorted_batch outcome span too small");
-    check_sorted_keys<Cmp, K>(keys);
-    ReadProbeStats stats;
-    detail::read_batch_rec<Cmp, Node, K, V>(root_, keys, out, 0, keys.size(),
-                                            stats);
-    return stats;
-  }
-
-  /// Bounded range scan; see Treap::scan.
-  std::size_t scan(const K& lo, const K& hi, std::size_t limit,
-                   std::vector<std::pair<K, V>>& out) const {
-    std::size_t remaining = limit;
-    detail::scan_range_rec<Cmp, Node, K, V>(root_, lo, hi, remaining, out);
-    return limit - remaining;
-  }
-
-  std::vector<std::pair<K, V>> items() const {
-    std::vector<std::pair<K, V>> out;
-    out.reserve(size());
-    for_each([&](const K& k, const V& v) { out.emplace_back(k, v); });
-    return out;
-  }
-
   // ----- updates -----
 
   template <class B>
   RbTree insert(B& b, const K& key, const V& value) const {
-    if (contains(key)) return *this;
-    return RbTree{make_black(b, ins(b, root_, key, value))};
+    if (this->contains(key)) return *this;
+    return wrap(make_black(b, ins(b, root_, key, value)));
   }
 
+  /// Single pass: Okasaki's ins overwrites a present key in place.
   template <class B>
   RbTree insert_or_assign(B& b, const K& key, const V& value) const {
-    return RbTree{make_black(b, ins(b, root_, key, value))};
+    return wrap(make_black(b, ins(b, root_, key, value)));
   }
 
   template <class B>
   RbTree erase(B& b, const K& key) const {
-    if (!contains(key)) return *this;
-    return RbTree{make_black(b, del(b, root_, key))};
+    if (!this->contains(key)) return *this;
+    return wrap(make_black(b, del(b, root_, key)));
   }
 
-  /// O(n) bulk construction from strictly increasing (key, value) pairs.
-  /// The midpoint build fills every level but the last, so coloring the
-  /// bottommost level red and everything above black gives a uniform
-  /// black height (every root-to-null path sees exactly the full-level
-  /// blacks) with no red-red edge — a valid red-black tree.
-  template <class B, class It>
-  static RbTree from_sorted(B& b, It first, It last) {
-    std::vector<std::pair<K, V>> items(first, last);
-    check_sorted_items<Cmp>(items);
-    const std::size_t levels = levels_of(items.size());
-    return RbTree{build_sorted_rec(b, items, 0, items.size(), 1, levels)};
-  }
-
-  /// Applies a key-sorted, key-unique op batch in one path-copying sweep
-  /// and reports a per-op outcome (aligned with `ops`). Contents are
-  /// exactly those of applying the ops one at a time; untouched subtrees
-  /// are returned by pointer (an all-noop batch returns the same root
-  /// with zero allocations) and reshaped subtrees are stitched back with
-  /// O(|bh difference|) join steps plus a bounded recolor cascade.
+  /// The generic sweep (JoinTree::apply_sorted_batch) with the root
+  /// re-blackened: join results are black-rooted, but an erase at the root
+  /// may hand back a red child subtree. An untouched result stays shared
+  /// (make_black on black = id).
   template <class B>
   RbTree apply_sorted_batch(B& b, std::span<const BatchOp> ops,
                             std::span<BatchOutcome> outcomes) const {
-    PC_ASSERT(outcomes.size() >= ops.size(),
-              "apply_sorted_batch outcome span too small");
-    if (ops.empty()) return *this;
-    check_sorted_batch<Cmp>(ops);
-    // The root is always black, so an untouched result stays shared and
-    // a reshaped one is re-anchored for free (make_black on black = id).
-    return RbTree{make_black(b, detail::apply_batch_rec<BatchSweep>(
-                                    b, root_, ops, outcomes, 0, ops.size()))};
+    return wrap(make_black(b, Base::apply_sorted_batch(b, ops, outcomes).root_));
   }
 
   // ----- structural utilities -----
@@ -338,47 +163,19 @@ class RbTree {
   /// red-red edge, uniform black height, correct size augmentation, and
   /// published builder state on every node.
   bool check_invariants() const {
-    if (is_red(root_)) return false;
-    return check_rec(root_, nullptr, nullptr).ok;
+    return !is_red(root_) && Base::check_invariants();
   }
-
-  std::size_t height() const { return height_rec(root_); }
 
   /// Black nodes on any root-to-leaf path (0 for the empty tree).
-  std::size_t black_height() const {
-    std::size_t h = 0;
-    for (const Node* n = root_; n != nullptr; n = n->left) {
-      if (n->color == Color::kBlack) ++h;
-    }
-    return h;
-  }
-
-  static std::size_t shared_nodes(const RbTree& a, const RbTree& b) {
-    std::unordered_set<const Node*> seen;
-    collect(a.root_, seen);
-    std::size_t shared = 0;
-    count_shared(b.root_, seen, shared);
-    return shared;
-  }
-
-  template <class Backend>
-  static void destroy(const Node* n, Backend& backend) {
-    if (n == nullptr) return;
-    destroy(n->left, backend);
-    destroy(n->right, backend);
-    n->~Node();
-    backend.free_bytes(const_cast<Node*>(n), sizeof(Node), alignof(Node));
-  }
+  std::size_t black_height() const { return black_height_of(root_); }
 
  private:
-  explicit RbTree(const Node* root) noexcept : root_(root) {}
+  using Base::root_;
+  using Base::wrap;
 
   static constexpr Color kRed = Color::kRed;
   static constexpr Color kBlack = Color::kBlack;
 
-  static std::uint64_t size_of(const Node* n) noexcept {
-    return n == nullptr ? 0 : n->size;
-  }
   static bool is_red(const Node* n) noexcept {
     return n != nullptr && n->color == kRed;
   }
@@ -386,10 +183,42 @@ class RbTree {
     return n != nullptr && n->color == kBlack;
   }
 
+  /// Blacks on the left spine — the black height of any valid subtree.
+  static std::size_t black_height_of(const Node* n) noexcept {
+    std::size_t h = 0;
+    for (; n != nullptr; n = n->left) {
+      if (n->color == kBlack) ++h;
+    }
+    return h;
+  }
+
   template <class B>
   static const Node* mk(B& b, Color c, const Node* l, const K& k, const V& v,
                         const Node* r) {
     return b.template create<Node>(c, l, k, v, r);
+  }
+
+  // ----- scheme hooks (persist/join_tree.hpp) -----
+
+  /// The midpoint build fills every level but the last, so coloring the
+  /// bottommost level red and everything above black gives a uniform
+  /// black height (every root-to-null path sees exactly the full-level
+  /// blacks) with no red-red edge — a valid red-black tree.
+  template <class B>
+  static const Node* build(B& b, const K& k, const V& v, const Node* l,
+                           const Node* r, bool bottom) {
+    return mk(b, bottom ? kRed : kBlack, l, k, v, r);
+  }
+
+  /// No red node has a red child; both children have the same black
+  /// height (the rank), which this node's colour extends.
+  static std::size_t check_node(const Node* n, std::size_t lbh,
+                                std::size_t rbh) {
+    if (n->color == kRed && (is_red(n->left) || is_red(n->right))) {
+      return Base::kBroken;
+    }
+    if (lbh != rbh) return Base::kBroken;
+    return lbh + (n->color == kBlack ? 1 : 0);
   }
 
   /// Returns a black-rooted equivalent of n (possibly n itself).
@@ -412,12 +241,14 @@ class RbTree {
   // ----- insertion (Okasaki) -----
 
   /// Okasaki's balance for a black node whose *left* subtree may carry a
-  /// red-red violation introduced by insertion.
-  template <class B>
+  /// red-red violation. When both grandchildren are red, insertion lets
+  /// the left-left case win; deletion (MSetRBT's lbal') needs the
+  /// left-right case to win, which RightFirst selects.
+  template <bool RightFirst = false, class B>
   static const Node* lbal(B& b, const Node* l, const K& k, const V& v,
                           const Node* r) {
     if (is_red(l)) {
-      if (is_red(l->left)) {
+      if (is_red(l->left) && !(RightFirst && is_red(l->right))) {
         const Node* ll = l->left;
         b.supersede(l);
         b.supersede(ll);
@@ -436,12 +267,14 @@ class RbTree {
     return mk(b, kBlack, l, k, v, r);
   }
 
-  /// Mirror image of lbal for a violation in the right subtree.
-  template <class B>
+  /// Mirror image of lbal for a violation in the right subtree; the
+  /// right-left case wins for insertion, right-right (RightFirst, MSetRBT's
+  /// rbal') for deletion.
+  template <bool RightFirst = false, class B>
   static const Node* rbal(B& b, const Node* l, const K& k, const V& v,
                           const Node* r) {
     if (is_red(r)) {
-      if (is_red(r->left)) {
+      if (is_red(r->left) && !(RightFirst && is_red(r->right))) {
         const Node* rl = r->left;
         b.supersede(r);
         b.supersede(rl);
@@ -484,55 +317,6 @@ class RbTree {
 
   // ----- deletion (MSetRBT) -----
 
-  /// lbal with the match arms flipped (the deletion rebalancers need the
-  /// left-right case to win when both violations are present).
-  template <class B>
-  static const Node* lbal_prime(B& b, const Node* l, const K& k, const V& v,
-                                const Node* r) {
-    if (is_red(l)) {
-      if (is_red(l->right)) {
-        const Node* lr = l->right;
-        b.supersede(l);
-        b.supersede(lr);
-        return mk(b, kRed, mk(b, kBlack, l->left, l->key, l->value, lr->left),
-                  lr->key, lr->value, mk(b, kBlack, lr->right, k, v, r));
-      }
-      if (is_red(l->left)) {
-        const Node* ll = l->left;
-        b.supersede(l);
-        b.supersede(ll);
-        return mk(b, kRed,
-                  mk(b, kBlack, ll->left, ll->key, ll->value, ll->right),
-                  l->key, l->value, mk(b, kBlack, l->right, k, v, r));
-      }
-    }
-    return mk(b, kBlack, l, k, v, r);
-  }
-
-  /// rbal preferring the right-right case.
-  template <class B>
-  static const Node* rbal_prime(B& b, const Node* l, const K& k, const V& v,
-                                const Node* r) {
-    if (is_red(r)) {
-      if (is_red(r->right)) {
-        const Node* rr = r->right;
-        b.supersede(r);
-        b.supersede(rr);
-        return mk(b, kRed, mk(b, kBlack, l, k, v, r->left), r->key, r->value,
-                  mk(b, kBlack, rr->left, rr->key, rr->value, rr->right));
-      }
-      if (is_red(r->left)) {
-        const Node* rl = r->left;
-        b.supersede(r);
-        b.supersede(rl);
-        return mk(b, kRed, mk(b, kBlack, l, k, v, rl->left), rl->key,
-                  rl->value,
-                  mk(b, kBlack, rl->right, r->key, r->value, r->right));
-      }
-    }
-    return mk(b, kBlack, l, k, v, r);
-  }
-
   /// Rebuilds (l, k, v, r) where subtree l's black height is one less than
   /// r's (a deletion on the left shrank it). Restores equal black heights,
   /// possibly returning a red root for the caller to absorb.
@@ -547,7 +331,7 @@ class RbTree {
     PC_DASSERT(r != nullptr, "lbalS: right sibling cannot be empty");
     if (r->color == kBlack) {
       b.supersede(r);
-      return rbal_prime(b, l, k, v,
+      return rbal<true>(b, l, k, v,
                         mk(b, kRed, r->left, r->key, r->value, r->right));
     }
     // r red: its left child is black and non-null.
@@ -556,7 +340,7 @@ class RbTree {
     b.supersede(r);
     b.supersede(rl);
     return mk(b, kRed, mk(b, kBlack, l, k, v, rl->left), rl->key, rl->value,
-              rbal_prime(b, rl->right, r->key, r->value,
+              rbal<true>(b, rl->right, r->key, r->value,
                          make_red(b, r->right)));
   }
 
@@ -572,7 +356,7 @@ class RbTree {
     PC_DASSERT(l != nullptr, "rbalS: left sibling cannot be empty");
     if (l->color == kBlack) {
       b.supersede(l);
-      return lbal_prime(b, mk(b, kRed, l->left, l->key, l->value, l->right),
+      return lbal<true>(b, mk(b, kRed, l->left, l->key, l->value, l->right),
                         k, v, r);
     }
     const Node* lr = l->right;
@@ -580,7 +364,7 @@ class RbTree {
     b.supersede(l);
     b.supersede(lr);
     return mk(b, kRed,
-              lbal_prime(b, make_red(b, l->left), l->key, l->value, lr->left),
+              lbal<true>(b, make_red(b, l->left), l->key, l->value, lr->left),
               lr->key, lr->value, mk(b, kBlack, lr->right, k, v, r));
   }
 
@@ -648,40 +432,7 @@ class RbTree {
     return append(b, n->left, n->right);
   }
 
-  // ----- bulk construction and sorted-batch application -----
-
-  /// Levels of the midpoint-built tree of n nodes (bit_width(n)): every
-  /// level but the last is full, which is what the coloring rule rides.
-  static std::size_t levels_of(std::size_t n) noexcept {
-    std::size_t lv = 0;
-    while (n != 0) {
-      ++lv;
-      n >>= 1;
-    }
-    return lv;
-  }
-
-  template <class B>
-  static const Node* build_sorted_rec(B& b,
-                                      const std::vector<std::pair<K, V>>& items,
-                                      std::size_t lo, std::size_t hi,
-                                      std::size_t depth, std::size_t levels) {
-    if (lo == hi) return nullptr;
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const Node* l = build_sorted_rec(b, items, lo, mid, depth + 1, levels);
-    const Node* r = build_sorted_rec(b, items, mid + 1, hi, depth + 1, levels);
-    const Color c = (depth == levels && levels > 1) ? kRed : kBlack;
-    return mk(b, c, l, items[mid].first, items[mid].second, r);
-  }
-
-  /// Blacks on the left spine — the black height of any valid subtree.
-  static std::size_t black_height_of(const Node* n) noexcept {
-    std::size_t h = 0;
-    for (; n != nullptr; n = n->left) {
-      if (n->color == kBlack) ++h;
-    }
-    return h;
-  }
+  // ----- join (sorted-batch relink) -----
 
   /// Descends l's right spine to the black node of r's black height,
   /// attaches (k, v) red there, and repairs any red-red pair on unwind
@@ -740,162 +491,16 @@ class RbTree {
     return make_black(b, t);
   }
 
-  /// Joins l < r without a middle key (the batch erased it): pops r's
-  /// minimum through the deletion machinery and reuses it as the pivot.
+  /// Pops the minimum of n through the deletion machinery (for join2).
   template <class B>
-  static const Node* join2(B& b, const Node* l, const Node* r) {
-    if (r == nullptr) return l;
-    if (l == nullptr) return r;
-    const Node* rb = make_black(b, r);
+  static std::tuple<K, V, const Node*> pop_min(B& b, const Node* n) {
+    const Node* rb = make_black(b, n);
     const Node* mn = rb;
     while (mn->left != nullptr) mn = mn->left;
     const K pk = mn->key;
     const V pv = mn->value;
-    const Node* rest = make_black(b, del(b, rb, pk));
-    return join(b, pk, pv, l, rest);
+    return {pk, pv, make_black(b, del(b, rb, pk))};
   }
-
-  /// Inline scratch capacity for the batch-tail builder; combiner batches
-  /// are at most 2x the announcement-slot count.
-  static constexpr std::size_t kInlineBatch = 128;
-
-  /// Policy for the shared tree-driven sweep (persist/batch.hpp): the
-  /// partition recursion lives there; only the join discipline and the
-  /// off-tree bulk build are red-black-specific.
-  struct BatchSweep {
-    using Node = RbTree::Node;
-    using KeyCompare = Cmp;
-    template <class B>
-    static const Node* join(B& b, const K& k, const V& v, const Node* l,
-                            const Node* r) {
-      return RbTree::join(b, k, v, l, r);
-    }
-    template <class B>
-    static const Node* join2(B& b, const Node* l, const Node* r) {
-      return RbTree::join2(b, l, r);
-    }
-    template <class B>
-    static const Node* build_inserts(B& b, std::span<const BatchOp> ops,
-                                     std::span<BatchOutcome> out,
-                                     std::size_t lo, std::size_t hi) {
-      return RbTree::build_batch_inserts(b, ops, out, lo, hi);
-    }
-  };
-
-  // Batch tail that ran off the tree: erases are no-ops, the surviving
-  // inserts/assigns build their balanced subtree directly via the same
-  // leveled-coloring midpoint scheme as from_sorted.
-  template <class B>
-  static const Node* build_batch_inserts(B& b, std::span<const BatchOp> ops,
-                                         std::span<BatchOutcome> out,
-                                         std::size_t lo, std::size_t hi) {
-    util::SmallVec<std::size_t, kInlineBatch> land;  // ops that insert
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (ops[i].kind == BatchOpKind::kErase) {
-        out[i] = BatchOutcome::kNoop;
-      } else {
-        out[i] = BatchOutcome::kInserted;
-        land.push_back(i);
-      }
-    }
-    if (land.empty()) return nullptr;
-    return build_land_rec(b, ops, land, 0, land.size(), 1,
-                          levels_of(land.size()));
-  }
-
-  template <class B>
-  static const Node* build_land_rec(
-      B& b, std::span<const BatchOp> ops,
-      const util::SmallVec<std::size_t, kInlineBatch>& land, std::size_t lo,
-      std::size_t hi, std::size_t depth, std::size_t levels) {
-    if (lo == hi) return nullptr;
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const Node* l = build_land_rec(b, ops, land, lo, mid, depth + 1, levels);
-    const Node* r = build_land_rec(b, ops, land, mid + 1, hi, depth + 1, levels);
-    const BatchOp& op = ops[land[mid]];
-    const Color c = (depth == levels && levels > 1) ? kRed : kBlack;
-    return mk(b, c, l, op.key, *op.value, r);
-  }
-
-  // ----- verification and traversal -----
-
-  template <class F>
-  static void for_each_rec(const Node* n, F& f) {
-    if (n == nullptr) return;
-    for_each_rec(n->left, f);
-    f(n->key, n->value);
-    for_each_rec(n->right, f);
-  }
-
-  template <class F>
-  static void for_each_range_rec(const Node* n, const K& lo, const K& hi,
-                                 F& f) {
-    if (n == nullptr) return;
-    Cmp cmp;
-    if (cmp(n->key, lo)) {  // entire left subtree < lo as well
-      for_each_range_rec(n->right, lo, hi, f);
-      return;
-    }
-    if (!cmp(n->key, hi)) {  // n->key >= hi
-      for_each_range_rec(n->left, lo, hi, f);
-      return;
-    }
-    for_each_range_rec(n->left, lo, hi, f);
-    f(n->key, n->value);
-    for_each_range_rec(n->right, lo, hi, f);
-  }
-
-  static std::size_t height_rec(const Node* n) {
-    if (n == nullptr) return 0;
-    return 1 + std::max(height_rec(n->left), height_rec(n->right));
-  }
-
-  struct CheckResult {
-    bool ok;
-    std::uint64_t size;
-    std::size_t black_height;
-  };
-
-  static CheckResult check_rec(const Node* n, const K* lo, const K* hi) {
-    if (n == nullptr) return {true, 0, 0};
-    Cmp cmp;
-    if (lo != nullptr && !cmp(*lo, n->key)) return {false, 0, 0};
-    if (hi != nullptr && !cmp(n->key, *hi)) return {false, 0, 0};
-    if (n->pc_state_ != core::NodeState::kPublished) return {false, 0, 0};
-    if (n->color == kRed && (is_red(n->left) || is_red(n->right))) {
-      return {false, 0, 0};
-    }
-    const CheckResult l = check_rec(n->left, lo, &n->key);
-    if (!l.ok) return {false, 0, 0};
-    const CheckResult r = check_rec(n->right, &n->key, hi);
-    if (!r.ok) return {false, 0, 0};
-    if (l.black_height != r.black_height) return {false, 0, 0};
-    const std::uint64_t sz = 1 + l.size + r.size;
-    const std::size_t bh =
-        l.black_height + (n->color == kBlack ? 1 : 0);
-    return {sz == n->size, sz, bh};
-  }
-
-  static void collect(const Node* n, std::unordered_set<const Node*>& out) {
-    if (n == nullptr) return;
-    out.insert(n);
-    collect(n->left, out);
-    collect(n->right, out);
-  }
-
-  static void count_shared(const Node* n,
-                           const std::unordered_set<const Node*>& in,
-                           std::size_t& shared) {
-    if (n == nullptr) return;
-    if (in.contains(n)) {
-      shared += n->size;
-      return;
-    }
-    count_shared(n->left, in, shared);
-    count_shared(n->right, in, shared);
-  }
-
-  const Node* root_ = nullptr;
 };
 
 }  // namespace pathcopy::persist

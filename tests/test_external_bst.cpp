@@ -18,7 +18,10 @@ using E = persist::ExternalBst<std::int64_t, std::int64_t>;
 template <class Alloc>
 E insert_all(Alloc& a, E t, const std::vector<std::int64_t>& keys) {
   for (const auto k : keys) {
-    t = test::apply(a, [&](auto& b) { return t.insert(b, k, k * 10); });
+    // Unsigned wrap-around: random 64-bit keys would overflow k * 10.
+    const auto v =
+        static_cast<std::int64_t>(static_cast<std::uint64_t>(k) * 10u);
+    t = test::apply(a, [&](auto& b) { return t.insert(b, k, v); });
   }
   return t;
 }

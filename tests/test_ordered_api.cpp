@@ -98,6 +98,13 @@ using Structures =
                      persist::BTree<std::int64_t, std::int64_t, 64>>;
 TYPED_TEST_SUITE(OrderedApi, Structures);
 
+// Node size sets bytes per key and the bytes copied per path node; the
+// shared join-tree core must not grow any binary tree's node.
+static_assert(sizeof(persist::Treap<std::int64_t, std::int64_t>::Node) == 56);
+static_assert(sizeof(persist::AvlTree<std::int64_t, std::int64_t>::Node) == 56);
+static_assert(sizeof(persist::WbTree<std::int64_t, std::int64_t>::Node) == 48);
+static_assert(sizeof(persist::RbTree<std::int64_t, std::int64_t>::Node) == 56);
+
 TYPED_TEST(OrderedApi, EmptyTreeEdgeCases) {
   TypeParam t;
   EXPECT_TRUE(t.empty());
