@@ -96,7 +96,6 @@ struct Config {
   // Skew sweep (rebalancing acceptance experiment):
   std::vector<Skew> skews;       // --skew (repeatable); defaults to zipf
   bool skew_only = false;        // --skew given: run just the skew sweep
-  bool continuous = false;       // --continuous: add the adaptive-tablet row
   bool assert_migrated = false;  // exit 1 unless the adaptive cells migrated
   const char* json_path = nullptr;  // --json: machine-readable skew rows
   // Executor-lanes acceptance (the lock-free lane + coalescing PR):
@@ -485,36 +484,28 @@ int lanes_section(const Config& cfg) {
 // Skewed offered load is where the static uniform() split collapses: a
 // Zipf(0.99) or hot-range keyspace concentrates most ops on one shard
 // and the S-install-stream scaling story reverts to the single-atom
-// baseline. The router policies run the same skewed workload:
+// baseline. Every row starts from the same uniform tablet table (one
+// tablet per shard) and runs the same skewed workload:
 //
-//   static-uniform — the pre-rebalancing status quo (the victim);
-//   static-fitted  — RangeRouter::from_samples over an offline sample of
-//                    the workload (the oracle fit: what adaptive should
-//                    converge to, without paying for a live migration);
-//   adaptive       — starts uniform; a control thread runs the
-//                    Rebalancer's sketch -> plan -> migrate loop while
-//                    the workload hammers the store. One contiguous
-//                    range per shard, so fixing a hot head re-draws
-//                    every boundary and repacks the cold mass: balance
-//                    is bought with ~most of the resident keys moving;
-//   adaptive-tablet (--continuous) — starts as a uniform tablet table;
-//                    the control thread runs the continuous tick loop:
-//                    split the hot head (zero keys), reassign one
-//                    right-sized tablet at a time under the migration
-//                    throttle's keys-per-interval budget. Cold tablets
-//                    never change owner, so balance costs a fraction of
-//                    the resident mass — the keys-moved and max/ideal
-//                    columns side by side are this PR's acceptance
-//                    numbers.
+//   static-uniform  — no rebalancing: the status quo (the victim);
+//   adaptive        — a control thread runs the Rebalancer's one-shot
+//                     sketch -> plan -> migrate loop (maybe_rebalance)
+//                     while the workload hammers the store: each plan
+//                     splits the hot head and reassigns whole tablets
+//                     hot -> cold in one flip;
+//   adaptive-tablet — the control thread runs the continuous tick loop:
+//                     split the hot head (zero keys), reassign one
+//                     right-sized tablet at a time under the migration
+//                     throttle's keys-per-interval budget.
 //
-// Skew cells run 3x the base duration: a first migration under heavy
-// skew moves a large slice of the resident keys (quantile bounds pack
-// the cold mass into few shards), and the cell must amortize that
-// one-time cost the way a long-running store would.
+// Cold tablets never change owner, so balance costs a fraction of the
+// resident mass — the keys-moved and max/ideal columns side by side are
+// the acceptance numbers. Skew cells run 3x the base duration so each
+// cell spends most of its time under the rebalanced table, the way a
+// long-running store would.
 
 enum class RouterPolicy {
   kStaticUniform,
-  kStaticFitted,
   kAdaptive,
   kAdaptiveTablet,
 };
@@ -548,7 +539,8 @@ std::function<std::int64_t(util::Xoshiro256&)> make_draw(
   }
 }
 
-/// Offline workload sample for the static-fitted policy.
+/// Offline workload sample (sorted): the offered-load probe a cell's
+/// final topology is scored against.
 std::vector<std::int64_t> skew_sample(const Config& cfg, Skew skew,
                                       const bench::ZipfGen* zipf,
                                       std::size_t n) {
@@ -589,26 +581,15 @@ std::uint64_t continuous_budget(const Config& cfg) {
   return std::max<std::uint64_t>(8192, cfg.initial_keys / 8);
 }
 
-template <class Uc, class RouterT>
+template <class Uc>
 SkewCell run_skew_cell(const Config& cfg, Skew skew, std::size_t shards,
                        Mode mode, RouterPolicy policy,
                        const bench::ZipfGen* zipf,
                        store::ShardStatsBoard& board) {
-  using Map = store::ShardedMap<Uc, RouterT>;
+  using Map = store::ShardedMap<Uc, TabR>;
   alloc::PoolBackend pool;
   alloc::ThreadCache root_cache(pool);
-  const std::int64_t key_space = key_space_of(cfg);
-  RouterT router = RouterT::uniform(0, key_space, shards);
-  if constexpr (requires(std::span<const std::int64_t> s) {
-                  RouterT::from_samples(s, shards);
-                }) {
-    if (policy == RouterPolicy::kStaticFitted) {
-      const auto sample = skew_sample(cfg, skew, zipf, 1 << 16);
-      router = RouterT::from_samples(std::span<const std::int64_t>(sample),
-                                     shards);
-    }
-  }
-  Map map(shards, root_cache, std::move(router));
+  Map map(shards, root_cache, TabR::uniform(0, key_space_of(cfg), shards));
   std::optional<store::ShardExecutor<Uc>> exec;
   if (mode == Mode::kBatchAsync) {
     exec.emplace(map, [&pool] { return alloc::ThreadCache(pool); });
@@ -624,7 +605,7 @@ SkewCell run_skew_cell(const Config& cfg, Skew skew, std::size_t shards,
   // migrate loop until the workload stops. Owns its own allocator view
   // and the Rebalancer (its per-shard reclaimer registrations live on
   // this thread), folding migration counters into the board on exit.
-  // kAdaptive re-fits the whole topology per pass; kAdaptiveTablet runs
+  // kAdaptive runs a whole tablet plan per pass; kAdaptiveTablet runs
   // the continuous tick — frequent small steps under the throttle.
   SkewCell cell;
   std::atomic<bool> reb_stop{false};
@@ -636,20 +617,17 @@ SkewCell run_skew_cell(const Config& cfg, Skew skew, std::size_t shards,
       store::RebalanceConfig rcfg;
       rcfg.budget_keys = continuous_budget(cfg);
       store::Rebalancer<Map> reb(map, cache, rcfg);
-      if constexpr (store::TabletTable<RouterT>) {
-        if (policy == RouterPolicy::kAdaptiveTablet) {
-          // Continuous mode: tick often; each tick is one cheap step
-          // (or a deferral) so the cadence sets reaction latency, not
-          // migration volume — the throttle meters that.
-          while (!reb_stop.load(std::memory_order_relaxed)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            reb.tick();
-          }
+      if (policy == RouterPolicy::kAdaptiveTablet) {
+        // Continuous mode: tick often; each tick is one cheap step (or a
+        // deferral) so the cadence sets reaction latency, not migration
+        // volume — the throttle meters that.
+        while (!reb_stop.load(std::memory_order_relaxed)) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          reb.tick();
         }
-      }
-      if (policy == RouterPolicy::kAdaptive) {
+      } else {
         // Short ticks: the first fit should land early so the cell
-        // spends its time under the fitted topology, not waiting.
+        // spends its time under the planned table, not waiting.
         const auto tick =
             std::chrono::milliseconds(std::max(5, cfg.duration_ms / 30));
         while (!reb_stop.load(std::memory_order_relaxed)) {
@@ -760,10 +738,9 @@ class JsonSink {
     std::fprintf(f_,
                  "  {\"row\": \"meta\", \"bench\": \"bench_sharded\", "
                  "\"threads\": %zu, \"shards\": %zu, \"initial_keys\": %zu, "
-                 "\"cell_ms\": %d, \"hw_threads\": %zu, \"continuous\": %s}",
+                 "\"cell_ms\": %d, \"hw_threads\": %zu}",
                  cfg.threads, shards, cfg.initial_keys, cfg.duration_ms * 3,
-                 bench::hardware_threads(),
-                 cfg.continuous ? "true" : "false");
+                 bench::hardware_threads());
   }
 
   /// One printed table row, plus the representative cell's rebalancing
@@ -812,8 +789,7 @@ class JsonSink {
 struct SkewSummary {
   std::uint64_t adaptive_migrations = 0;
   double adaptive_share = 0.0;  // final max/ideal load share, adaptive row
-  // adaptive-tablet row, representative cell (--continuous only):
-  bool have_tablet = false;
+  // adaptive-tablet row, representative cell:
   std::uint64_t tablet_migrations = 0;
   double tablet_share = 0.0;
   std::uint64_t tablet_keys_moved = 0;
@@ -841,26 +817,15 @@ SkewSummary skew_sweep(const Config& cfg, Skew skew, JsonSink& json) {
               "keys-moved", "max/ideal");
   SkewSummary sum;
   std::unique_ptr<store::ShardStatsBoard> detail_board;
-  const char* detail_name = "adaptive";
-  std::vector<RouterPolicy> policies = {RouterPolicy::kStaticUniform,
-                                        RouterPolicy::kStaticFitted,
-                                        RouterPolicy::kAdaptive};
-  // The continuous row goes last so its board (with the rebalance
-  // footer) is the one printed below the table.
-  if (cfg.continuous) policies.push_back(RouterPolicy::kAdaptiveTablet);
-  for (const RouterPolicy policy : policies) {
+  for (const RouterPolicy policy :
+       {RouterPolicy::kStaticUniform, RouterPolicy::kAdaptive,
+        RouterPolicy::kAdaptiveTablet}) {
     const char* name = policy == RouterPolicy::kStaticUniform
                            ? "static-uniform"
-                       : policy == RouterPolicy::kStaticFitted
-                           ? "static-fitted"
                        : policy == RouterPolicy::kAdaptive ? "adaptive"
                                                            : "adaptive-tablet";
     const auto run_one = [&](Mode mode, store::ShardStatsBoard& b) {
-      return policy == RouterPolicy::kAdaptiveTablet
-                 ? run_skew_cell<CombUc, TabR>(cfg, skew, shards, mode,
-                                               policy, z, b)
-                 : run_skew_cell<CombUc, Router>(cfg, skew, shards, mode,
-                                                 policy, z, b);
+      return run_skew_cell<CombUc>(cfg, skew, shards, mode, policy, z, b);
     };
     auto per_op_board = std::make_unique<store::ShardStatsBoard>(shards);
     const SkewCell per_op = run_one(Mode::kPerOp, *per_op_board);
@@ -902,7 +867,6 @@ SkewSummary skew_sweep(const Config& cfg, Skew skew, JsonSink& json) {
       // Assertable quantities come from the representative cell alone:
       // each cell is one fresh store, so "keys moved vs resident" and
       // "peak interval vs budget" are per-cell statements.
-      sum.have_tablet = true;
       sum.tablet_migrations = rep.migrations;
       sum.tablet_share = rep.max_load_share;
       sum.tablet_keys_moved = rep.keys_moved;
@@ -911,18 +875,15 @@ SkewSummary skew_sweep(const Config& cfg, Skew skew, JsonSink& json) {
       sum.tablet_escapes = rep.oversize_escapes;
       sum.tablet_budget = rep.budget_keys;
     }
-    if (policy == RouterPolicy::kAdaptive ||
-        policy == RouterPolicy::kAdaptiveTablet) {
-      detail_name = name;
+    if (policy == RouterPolicy::kAdaptiveTablet) {
       detail_board = cfg.run_async  ? std::move(async_board)
                      : cfg.run_sync ? std::move(sync_board)
                                     : std::move(per_op_board);
     }
   }
   if (detail_board != nullptr) {
-    std::printf("\nper-shard stats, %s %s cell (installs rebalanced "
-                "across shards; mig-in/mig-out = migrated keys):\n",
-                detail_name,
+    std::printf("\nper-shard stats, adaptive-tablet %s cell (installs "
+                "rebalanced across shards; mig-in/mig-out = migrated keys):\n",
                 cfg.run_async  ? "async batch-ingest"
                 : cfg.run_sync ? "sync batch-ingest"
                                : "per-op");
@@ -968,8 +929,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--skew takes zipf|hot|moving (repeatable)\n");
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--continuous") == 0) {
-      cfg.continuous = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       cfg.json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--assert-migrated") == 0) {
@@ -985,7 +944,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--threads N] [--duration-ms N]"
                    " [--initial N] [--ingest sync|async|both]"
-                   " [--skew zipf|hot|moving]... [--continuous]"
+                   " [--skew zipf|hot|moving]..."
                    " [--json PATH] [--assert-migrated]"
                    " [--assert-coalesce] [--lanes-json PATH]\n",
                    argv[0]);
@@ -995,8 +954,8 @@ int main(int argc, char** argv) {
   if (cfg.skews.empty()) cfg.skews.push_back(Skew::kZipf);
 
   // Gate one skew's summary against the --assert-migrated contract.
-  // The whole-topology adaptive row must have migrated and landed on a
-  // usably balanced topology (generous bound: the refit is coarse).
+  // The one-shot adaptive row must have migrated and landed on a usably
+  // balanced topology (generous bound: one plan per pass is coarse).
   // The continuous adaptive-tablet row carries the strict acceptance:
   // balance actually reached (max/ideal <= 1.3), bought with at most a
   // quarter of the resident keys, and never more than one throttle
@@ -1014,7 +973,6 @@ int main(int argc, char** argv) {
                    sum.adaptive_share, cfg.shards.back());
       return 1;
     }
-    if (!sum.have_tablet) return 0;
     if (sum.tablet_migrations == 0) {
       std::fprintf(stderr,
                    "FAIL: continuous cells completed without a flip\n");

@@ -1,7 +1,9 @@
 // KeySketch: a uniform reservoir sample of the store's offered key
-// traffic — the distribution model the Rebalancer fits split points to.
+// traffic — the distribution model the Rebalancer's tablet plans are
+// fitted to: per-tablet loads, and the quantile cuts that split a hot
+// tablet.
 //
-// Quantile fitting needs an unbiased sample of the keys *operations
+// Tablet planning needs an unbiased sample of the keys *operations
 // target* (offered load), not of the keys *present* (stored mass): a
 // Zipfian workload hammers a handful of keys that occupy a sliver of the
 // keyspace, and balancing stored bytes would leave the hot shard as hot
@@ -15,9 +17,10 @@
 // through offer(), which takes the sketch mutex once per flush. At the
 // bench's op rates that is one brief lock every ~256 ops per thread.
 //
-// reset() forgets the stream — the Rebalancer calls it after a migration
-// so the next plan is fitted to post-flip traffic rather than to a stale
-// mixture (a moving hotspot would otherwise drag its history behind it).
+// reset() forgets the stream — the Rebalancer calls it after a
+// migrate_to() so the next plan is fitted to post-flip traffic rather
+// than to a stale mixture (a moving hotspot would otherwise drag its
+// history behind it); tick() only decay()s it.
 #pragma once
 
 #include <algorithm>

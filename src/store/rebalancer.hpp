@@ -1,7 +1,5 @@
-// Rebalancer: distribution-fitted planning + live path-copying shard
-// migration for a ShardedMap — over a RangeRouter (whole-topology
-// quantile fits, PR 5) or a TabletRouter (tablet-delta plans and
-// budget-throttled continuous moves, PR 6).
+// Rebalancer: sketch-fitted tablet planning + live path-copying shard
+// migration for a ShardedMap over a TabletRouter.
 //
 // A range-partitioned store is only as fast as its hottest shard: under
 // a Zipfian or hot-range keyspace the static uniform() split sends most
@@ -11,31 +9,34 @@
 //
 //   plan     — read the map's KeySketch (a reservoir sample of offered
 //              keys), measure the load imbalance under the current
-//              epoch's topology, and — past the threshold — fit a new
-//              one. RangeRouter: new split points at the sample's
-//              quantiles. TabletRouter: split hot tablets at quantile
-//              cuts (a boundary-only change: zero keys move), then
-//              greedily *reassign* whole tablets from hot to cold
-//              shards — cold tablets keep their owner, so only the hot
-//              head's resident keys pay migration.
-//   tick     — the continuous mode (tablet tables only): one small step
-//              per call — split the hottest tablet, or move exactly one
-//              tablet to the coldest shard — admission-controlled by a
-//              MigrationThrottle (keys-moved-per-interval budget) and
-//              deferred outright while client ops are parking or lanes
-//              are deep. Steady-state traffic never stalls behind a
-//              whole-store re-fit; balance is reached as a stream of
-//              cheap single-tablet flips.
+//              epoch's tablet table, and — past the threshold — split
+//              hot tablets at quantile cuts (a boundary-only change:
+//              zero keys move), then greedily *reassign* whole tablets
+//              from hot to cold shards — cold tablets keep their owner,
+//              so only the hot head's resident keys pay migration.
+//   tick     — the continuous mode: one small step per call — split the
+//              hottest tablet, or move exactly one tablet to the coldest
+//              shard — admission-controlled by a MigrationThrottle
+//              (keys-moved-per-interval budget) and deferred outright
+//              while client ops are parking or lanes are deep. Steady-
+//              state traffic never stalls behind a whole-store re-fit;
+//              balance is reached as a stream of cheap single-tablet
+//              flips.
 //   migrate  — execute the epoch protocol from router_epoch.hpp:
-//              publish + drain (begin_epoch), then extract every key
-//              whose owner changed from a pinned source snapshot — the
-//              paper's trick doing systems work: a path-copied root IS a
-//              free consistent image of the shard, so the extraction
-//              runs on an immutable snapshot while non-moving writers
-//              proceed — bulk-install the moving segments into their new
-//              owners and erase them from the sources (each a plain
-//              batch through the shard's own install path), and finally
-//              settle the epoch, releasing gated ops.
+//              publish + drain (begin_epoch), then diff the two tables
+//              into moving segments and extract each from a pinned
+//              source snapshot — the paper's trick doing systems work: a
+//              path-copied root IS a free consistent image of the shard,
+//              so the extraction runs on an immutable snapshot while
+//              non-moving writers proceed — bulk-install the segment
+//              into its new owner and erase it from the source (each a
+//              plain batch through the shard's own install path), and
+//              finally settle the epoch, releasing gated ops.
+//
+// Contract: the map routes by a TabletRouter over an integral key, and
+// its structure has for_each_range (segments are extracted by pruned
+// half-open traversal). A static contiguous split is the tablet table
+// with one tablet per shard: TabletRouter({b0, b1, ...}, {0, 1, 2, ...}).
 //
 // Safety recap (the full argument lives in router_epoch.hpp): after the
 // drain no operation routed by the old topology is in flight, ops on
@@ -71,13 +72,10 @@
 
 namespace pathcopy::store {
 
-/// A router exposing a tablet table (TabletRouter's surface): planning
-/// switches from whole-topology quantile fits to tablet deltas.
 template <class R>
-concept TabletTable = requires(const R r) {
-  { r.tablet_count() } -> std::convertible_to<std::size_t>;
-  { r.owners() } -> std::convertible_to<std::vector<std::size_t>>;
-};
+inline constexpr bool kIsTabletRouter = false;
+template <class K, class Cmp>
+inline constexpr bool kIsTabletRouter<TabletRouter<K, Cmp>> = true;
 
 struct RebalanceConfig {
   /// Don't plan off fewer sampled keys than this (quantiles of a tiny
@@ -87,7 +85,7 @@ struct RebalanceConfig {
   /// multiple of the ideal (1/S) share.
   double imbalance_threshold = 1.3;
 
-  // ----- tablet planning (TabletTable routers only) -----
+  // ----- tablet planning -----
 
   /// Cap on table growth: at most this many tablets per shard on
   /// average before splits stop and a coalesce pass is tried instead.
@@ -223,6 +221,20 @@ class Rebalancer {
   using BatchRequest = typename Map::BatchRequest;
   using OpKind = typename Map::OpKind;
 
+  static_assert(kIsTabletRouter<RouterT> && std::integral<Key> &&
+                    requires(const Structure s, const Key& k,
+                             void (*f)(const Key&, const Value&)) {
+                      s.for_each_range(k, k, f);
+                    },
+                "Rebalancer needs a ShardedMap routed by a TabletRouter over "
+                "an integral key, on a structure with for_each_range; a "
+                "static range split is TabletRouter({b0, ...}, {0, 1, ...})");
+
+  /// Keys installed per watermark bump: small enough that parked traffic
+  /// resumes every few milliseconds as a big incoming segment's install
+  /// advances, large enough that the bulk ingest path still amortizes.
+  static constexpr std::size_t kWatermarkChunk = 8192;
+
   Rebalancer(Map& map, Alloc& alloc, RebalanceConfig cfg = {})
       : map_(&map),
         cfg_(cfg),
@@ -246,15 +258,74 @@ class Rebalancer {
   Rebalancer(const Rebalancer&) = delete;
   Rebalancer& operator=(const Rebalancer&) = delete;
 
-  /// Fits a new topology to the sketch when the sampled load is
-  /// imbalanced past the threshold. nullopt: not enough samples, load
-  /// already balanced, or the fit reproduces the current topology.
+  /// Whole-plan tablet fit, when the sampled load is imbalanced past the
+  /// threshold: refine tablets that alone exceed twice the per-piece cap,
+  /// then greedily reassign whole tablets hot → cold. Cold tablets keep
+  /// their owner, so the resulting flip migrates only the tablets whose
+  /// assignment actually changed — under a hot-head skew that is the hot
+  /// head's resident mass, not the whole store. nullopt: not enough
+  /// samples, load already balanced, or the fit reproduces the current
+  /// table.
   std::optional<RouterT> plan() {
-    if constexpr (TabletTable<RouterT>) {
-      return plan_tablets();
-    } else {
-      return plan_range();
+    const std::vector<Key> samples = map_->sketch().sorted_sample();
+    if (samples.size() < cfg_.min_samples) return std::nullopt;
+    ++stats_.plans;
+    const Epoch* e = map_->current_epoch();
+    const std::size_t shards = map_->shard_count();
+    const double ideal =
+        static_cast<double>(samples.size()) / static_cast<double>(shards);
+    RouterT cur = e->router;
+    const std::vector<std::size_t> before =
+        shard_loads(cur, tablet_loads(cur, samples), shards);
+    stats_.last_imbalance =
+        static_cast<double>(*std::max_element(before.begin(), before.end())) /
+        ideal;
+    if (stats_.last_imbalance < cfg_.imbalance_threshold) return std::nullopt;
+    // Refinement pass: no tablet should alone carry more than twice the
+    // piece cap (~half a shard's ideal share). Freshly cut pieces are
+    // already near the cap, so the loop skips over them.
+    const std::size_t piece_cap = std::max<std::size_t>(
+        cfg_.min_split_samples, samples.size() / (2 * shards));
+    const std::size_t max_tablets = cfg_.max_tablets_per_shard * shards;
+    for (std::size_t t = 0; t < cur.tablet_count(); ++t) {
+      if (cur.tablet_count() >= max_tablets) break;
+      const auto [first, last] = tablet_slice(cur, t, samples);
+      if (last - first <= 2 * piece_cap) continue;
+      const std::vector<Key> cuts =
+          quantile_cuts(cur, t, samples, piece_cap, max_tablets);
+      if (cuts.empty()) continue;
+      cur = cur.with_split(t, std::span<const Key>(cuts));
+      t += cuts.size();
     }
+    // Sticky assignment: start from the current owners and move the
+    // biggest improving tablet off the hottest shard until balanced.
+    const std::vector<std::size_t> loads = tablet_loads(cur, samples);
+    std::vector<std::size_t> owners = cur.owners();
+    std::vector<std::size_t> shard_load = shard_loads(cur, loads, shards);
+    for (std::size_t guard = 0; guard < owners.size() * shards; ++guard) {
+      std::size_t h = 0, c = 0;
+      for (std::size_t s = 1; s < shards; ++s) {
+        if (shard_load[s] > shard_load[h]) h = s;
+        if (shard_load[s] < shard_load[c]) c = s;
+      }
+      if (static_cast<double>(shard_load[h]) <
+          ideal * cfg_.imbalance_threshold) {
+        break;
+      }
+      std::size_t best = owners.size();
+      for (std::size_t t = 0; t < owners.size(); ++t) {
+        if (owners[t] != h || loads[t] == 0) continue;
+        if (shard_load[c] + loads[t] >= shard_load[h]) continue;
+        if (best == owners.size() || loads[t] > loads[best]) best = t;
+      }
+      if (best == owners.size()) break;
+      owners[best] = c;
+      shard_load[h] -= loads[best];
+      shard_load[c] += loads[best];
+    }
+    RouterT next(cur.bounds(), std::move(owners));
+    if (next == e->router) return std::nullopt;
+    return next;
   }
 
   /// Executes one live migration to `next` (publish → drain → extract →
@@ -274,14 +345,12 @@ class Rebalancer {
     return true;
   }
 
-  /// One continuous-rebalancing step (tablet tables only): defer under
-  /// client pressure, else split the hottest tablet down to the coldest
-  /// shard's deficit (zero keys), else move exactly one tablet there —
-  /// if the throttle's key budget admits it. Call periodically from a
-  /// control thread; each call does at most one cheap flip.
-  TickResult tick()
-    requires TabletTable<RouterT>
-  {
+  /// One continuous-rebalancing step: defer under client pressure, else
+  /// split the hottest tablet down to the coldest shard's deficit (zero
+  /// keys), else move exactly one tablet there — if the throttle's key
+  /// budget admits it. Call periodically from a control thread; each
+  /// call does at most one cheap flip.
+  TickResult tick() {
     if (under_pressure()) {
       ++stats_.pressure_deferrals;
       return TickResult::kDeferredPressure;
@@ -291,12 +360,8 @@ class Rebalancer {
     const Epoch* e = map_->current_epoch();
     const std::size_t shards = map_->shard_count();
     const RouterT& cur = e->router;
-    const std::vector<std::size_t> loads =
-        tablet_loads(cur, std::span<const Key>(samples));
-    std::vector<std::size_t> shard_load(shards, 0);
-    for (std::size_t t = 0; t < loads.size(); ++t) {
-      shard_load[cur.owner(t)] += loads[t];
-    }
+    const std::vector<std::size_t> loads = tablet_loads(cur, samples);
+    const std::vector<std::size_t> shard_load = shard_loads(cur, loads, shards);
     ++stats_.plans;
     std::size_t h = 0, c = 0;
     for (std::size_t s = 1; s < shards; ++s) {
@@ -339,8 +404,7 @@ class Rebalancer {
           return TickResult::kSplit;
         }
       } else {
-        const std::vector<Key> cuts =
-            carve_cuts(cur, t_hot, std::span<const Key>(samples), want);
+        const std::vector<Key> cuts = carve_cuts(cur, t_hot, samples, want);
         if (!cuts.empty()) {
           flip_to(cur.with_split(t_hot, std::span<const Key>(cuts)));
           ++stats_.splits;
@@ -384,10 +448,8 @@ class Rebalancer {
     s.peak_interval_est = throttle_.peak_interval_est();
     s.oversize_escapes = throttle_.oversize_escapes();
     s.budget_keys = throttle_.budget_keys();
-    if constexpr (TabletTable<RouterT>) {
-      s.tablets_per_shard =
-          map_->router().tablets_per_shard(map_->shard_count());
-    }
+    s.tablets_per_shard =
+        map_->router().tablets_per_shard(map_->shard_count());
     return s;
   }
 
@@ -401,34 +463,14 @@ class Rebalancer {
   }
 
  private:
-  /// Does the backing structure support pruned half-open traversal? With
-  /// it a tablet segment is extracted in O(moved + log n); without it
-  /// migration falls back to the filtering full scan.
-  static constexpr bool kRangedExtract =
-      requires(const Structure s, const Key& k,
-               void (*f)(const Key&, const Value&)) {
-        s.for_each_range(k, k, f);
-      };
-
   /// The flip engine shared by migrate_to and tick: publish + drain,
-  /// run the router-appropriate migration, settle. Does NOT touch the
-  /// sketch — migrate_to resets it (whole-topology re-fit), tick decays
-  /// it (a single-tablet move invalidates little of the evidence).
+  /// migrate the moving segments, settle. Does NOT touch the sketch —
+  /// migrate_to resets it (a whole-plan re-fit), tick decays it (a
+  /// single-tablet move invalidates little of the evidence).
   void flip_to(RouterT next) {
     const std::lock_guard<std::mutex> lock(mu_);
     Epoch* e = map_->begin_epoch(std::move(next));
-    std::uint64_t moved = 0;
-    if constexpr (TabletTable<RouterT>) {
-      if constexpr (kRangedExtract && std::integral<Key>) {
-        migrate_tablets(e, moved);
-      } else {
-        migrate_generic(e, moved);
-      }
-    } else if constexpr (RouterT::kOrderPreserving) {
-      migrate_ranges(e, moved);
-    } else {
-      migrate_generic(e, moved);
-    }
+    const std::uint64_t moved = migrate_segments(e);
     map_->settle_epoch(e);
     stats_.migrations += 1;
     stats_.keys_moved += moved;
@@ -461,111 +503,7 @@ class Rebalancer {
     return false;
   }
 
-  // ----- planning: RangeRouter (whole-topology quantile fit) -----
-
-  std::optional<RouterT> plan_range() {
-    std::vector<Key> samples = map_->sketch().sorted_sample();
-    if (samples.size() < cfg_.min_samples) return std::nullopt;
-    ++stats_.plans;
-    const Epoch* e = map_->current_epoch();
-    const std::size_t shards = map_->shard_count();
-    std::vector<std::size_t> load(shards, 0);
-    for (const Key& k : samples) ++load[e->router(k, shards)];
-    std::size_t max_load = 0;
-    for (const std::size_t l : load) max_load = std::max(max_load, l);
-    const double ideal =
-        static_cast<double>(samples.size()) / static_cast<double>(shards);
-    stats_.last_imbalance = static_cast<double>(max_load) / ideal;
-    if (stats_.last_imbalance < cfg_.imbalance_threshold) return std::nullopt;
-    RouterT fitted =
-        RouterT::from_samples(std::span<const Key>(samples), shards);
-    if (fitted.bounds() == e->router.bounds()) return std::nullopt;
-    return fitted;
-  }
-
-  // ----- planning: TabletRouter (split hot head + sticky assignment) --
-
-  /// Whole-plan tablet fit: refine tablets that alone exceed twice the
-  /// per-piece cap, then greedily reassign whole tablets hot → cold.
-  /// Cold tablets keep their owner, so the resulting flip migrates only
-  /// the tablets whose assignment actually changed — under a hot-head
-  /// skew that is the hot head's resident mass, not the whole store.
-  std::optional<RouterT> plan_tablets() {
-    std::vector<Key> samples = map_->sketch().sorted_sample();
-    if (samples.size() < cfg_.min_samples) return std::nullopt;
-    ++stats_.plans;
-    const Epoch* e = map_->current_epoch();
-    const std::size_t shards = map_->shard_count();
-    RouterT cur = e->router;
-    {
-      const std::vector<std::size_t> loads =
-          tablet_loads(cur, std::span<const Key>(samples));
-      std::vector<std::size_t> shard_load(shards, 0);
-      for (std::size_t t = 0; t < loads.size(); ++t) {
-        shard_load[cur.owner(t)] += loads[t];
-      }
-      std::size_t max_load = 0;
-      for (const std::size_t l : shard_load) max_load = std::max(max_load, l);
-      const double ideal =
-          static_cast<double>(samples.size()) / static_cast<double>(shards);
-      stats_.last_imbalance = static_cast<double>(max_load) / ideal;
-      if (stats_.last_imbalance < cfg_.imbalance_threshold) {
-        return std::nullopt;
-      }
-    }
-    // Refinement pass: no tablet should alone carry more than twice the
-    // piece cap (~half a shard's ideal share). Freshly cut pieces are
-    // already near the cap, so the loop skips over them.
-    const std::size_t piece_cap = std::max<std::size_t>(
-        cfg_.min_split_samples, samples.size() / (2 * shards));
-    const std::size_t max_tablets = cfg_.max_tablets_per_shard * shards;
-    for (std::size_t t = 0; t < cur.tablet_count(); ++t) {
-      if (cur.tablet_count() >= max_tablets) break;
-      const auto [first, last] =
-          tablet_slice(cur, t, std::span<const Key>(samples));
-      if (last - first <= 2 * piece_cap) continue;
-      const std::vector<Key> cuts = quantile_cuts(
-          cur, t, std::span<const Key>(samples), piece_cap, max_tablets);
-      if (cuts.empty()) continue;
-      cur = cur.with_split(t, std::span<const Key>(cuts));
-      t += cuts.size();
-    }
-    // Sticky assignment: start from the current owners and move the
-    // biggest improving tablet off the hottest shard until balanced.
-    const std::vector<std::size_t> loads =
-        tablet_loads(cur, std::span<const Key>(samples));
-    std::vector<std::size_t> owners = cur.owners();
-    std::vector<std::size_t> shard_load(shards, 0);
-    for (std::size_t t = 0; t < loads.size(); ++t) {
-      shard_load[owners[t]] += loads[t];
-    }
-    const double ideal =
-        static_cast<double>(samples.size()) / static_cast<double>(shards);
-    for (std::size_t guard = 0; guard < owners.size() * shards; ++guard) {
-      std::size_t h = 0, c = 0;
-      for (std::size_t s = 1; s < shards; ++s) {
-        if (shard_load[s] > shard_load[h]) h = s;
-        if (shard_load[s] < shard_load[c]) c = s;
-      }
-      if (static_cast<double>(shard_load[h]) <
-          ideal * cfg_.imbalance_threshold) {
-        break;
-      }
-      std::size_t best = owners.size();
-      for (std::size_t t = 0; t < owners.size(); ++t) {
-        if (owners[t] != h || loads[t] == 0) continue;
-        if (shard_load[c] + loads[t] >= shard_load[h]) continue;
-        if (best == owners.size() || loads[t] > loads[best]) best = t;
-      }
-      if (best == owners.size()) break;
-      owners[best] = c;
-      shard_load[h] -= loads[best];
-      shard_load[c] += loads[best];
-    }
-    RouterT next(cur.bounds(), std::move(owners));
-    if (next == e->router) return std::nullopt;
-    return next;
-  }
+  // ----- planning helpers -----
 
   /// Sample-count load of every tablet (samples sorted ascending).
   static std::vector<std::size_t> tablet_loads(const RouterT& r,
@@ -582,6 +520,17 @@ class Rebalancer {
     }
     loads[b.size()] = samples.size() - prev;
     return loads;
+  }
+
+  /// Per-shard sum of the tablet loads under r's assignment.
+  static std::vector<std::size_t> shard_loads(
+      const RouterT& r, const std::vector<std::size_t>& loads,
+      std::size_t shards) {
+    std::vector<std::size_t> shard_load(shards, 0);
+    for (std::size_t t = 0; t < loads.size(); ++t) {
+      shard_load[r.owner(t)] += loads[t];
+    }
+    return shard_load;
   }
 
   /// [first, last) index range of tablet t's samples.
@@ -608,8 +557,8 @@ class Rebalancer {
 
   /// Equal-load quantile cuts refining tablet t into ~piece_cap-sample
   /// pieces (the whole-plan refinement). Duplicate quantiles are bumped
-  /// past the previous cut, from_samples-style; cuts that run out of
-  /// tablet interior are dropped.
+  /// just past the previous cut; cuts that run out of tablet interior
+  /// are dropped.
   std::vector<Key> quantile_cuts(const RouterT& r, std::size_t t,
                                  std::span<const Key> samples,
                                  std::size_t piece_cap,
@@ -670,8 +619,7 @@ class Rebalancer {
     const std::size_t s = r.owner(t);
     return map_->shard(s).read(
         ctxs_[s], [&](auto snap) -> std::uint64_t {
-          if constexpr (std::integral<Key> &&
-                        requires { snap.count_range(Key{}, Key{}); }) {
+          if constexpr (requires { snap.count_range(Key{}, Key{}); }) {
             const Key lo = r.tablet_lo(t) != nullptr
                                ? *r.tablet_lo(t)
                                : std::numeric_limits<Key>::min();
@@ -686,19 +634,17 @@ class Rebalancer {
         });
   }
 
-  // ----- migration executors -----
+  // ----- migration -----
 
-  /// Tablet migration: diff the two tables into maximal moving segments
-  /// (ascending key order — empty for a pure split/coalesce), then per
-  /// segment: pin the source, extract the segment's slice via the
-  /// structure's pruned range traversal (O(moved + log n)), install it
-  /// into the destination behind its watermark, and erase it from the
-  /// source. A destination is ready the moment its last incoming
-  /// segment lands — per-tablet readiness instead of range algebra, so
-  /// unrelated traffic resumes segment by segment.
-  void migrate_tablets(Epoch* e, std::uint64_t& moved)
-    requires TabletTable<RouterT> && std::integral<Key>
-  {
+  /// Diffs the two tables into maximal moving segments (ascending key
+  /// order — empty for a pure split/coalesce), then per segment: pin the
+  /// source, extract the segment's slice via the structure's pruned range
+  /// traversal (O(moved + log n)), install it into the destination behind
+  /// its watermark, and erase it from the source. A destination is ready
+  /// the moment its last incoming segment lands, so unrelated traffic
+  /// resumes segment by segment. Returns the number of keys moved.
+  std::uint64_t migrate_segments(Epoch* e) {
+    std::uint64_t moved = 0;
     const std::size_t shards = map_->shard_count();
     const std::vector<TabletSegment<Key>> segs =
         RouterT::diff(e->prev->router, e->router);
@@ -737,7 +683,7 @@ class Rebalancer {
       }
       if (!slice.empty()) {
         ctxs_[sg.dst].stats.mig_keys_in += slice.size();
-        install_slice(sg.dst, slice, e);
+        run_chunked(sg.dst, slice, e);
       }
       if (--incoming[sg.dst] == 0) e->set_ready(sg.dst);
       if (!erases.empty()) {
@@ -745,126 +691,7 @@ class Rebalancer {
         run_chunked(sg.src, erases, nullptr);
       }
     }
-  }
-
-  /// Range-router migration: one source shard at a time, pipelined
-  /// extract → install → erase, releasing parked traffic as early as the
-  /// range algebra allows. Sources are processed in ascending shard (=
-  /// key) order; destination d is complete — nothing further can move
-  /// into it — as soon as every source overlapping its new range has
-  /// been processed, i.e. once hi_new(d) <= hi_old(s). Under a skew fit
-  /// that shape is decisive: the hot head's narrow destinations all draw
-  /// from the first source shard, so the bulk of the parked offered load
-  /// resumes after one shard's scan, while the single cold destination
-  /// absorbing the resident mass fills in the background behind its
-  /// ascending watermark. Erasing each source right after its extraction
-  /// both spreads the erase work and runs it while the affected traffic
-  /// is parked anyway.
-  void migrate_ranges(Epoch* e, std::uint64_t& moved) {
-    const std::size_t shards = map_->shard_count();
-    const std::vector<Key>& old_b = e->prev->router.bounds();
-    const std::vector<Key>& new_b = e->router.bounds();
-    std::vector<std::vector<BatchRequest>> per_dest(shards);
-    std::vector<BatchRequest> erases;
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (auto& v : per_dest) v.clear();
-      erases.clear();
-      {
-        // Same snapshot argument as migrate_tablets above.
-        const auto view = map_->shard(s).pin_versioned(ctxs_[s]);
-        const auto collect = [&](const Key& k, const Value& v) {
-          const std::size_t owner = e->router(k, shards);
-          if (owner == s) return;
-          per_dest[owner].push_back(BatchRequest{OpKind::kInsert, k, v});
-          erases.push_back(BatchRequest{OpKind::kErase, k, std::nullopt});
-          ++moved;
-        };
-        // Source s's moving keys are at most two contiguous intervals —
-        // [lo_old, lo_new) lost leftward, [hi_new, hi_old) lost
-        // rightward (shard 0 has no left edge, the last shard no right
-        // edge) — so a structure with ranged traversal is scanned in
-        // O(moved + log n), not O(resident). Ascending order across and
-        // within the two calls keeps every slice sorted. Structures
-        // without for_each_range fall back to the full scan, where
-        // `collect`'s owner check does the filtering.
-        if constexpr (requires(const Key& k) {
-                        view.snapshot.for_each_range(k, k, collect);
-                      }) {
-          if (s > 0 && key_less(old_b[s - 1], new_b[s - 1])) {
-            view.snapshot.for_each_range(old_b[s - 1], new_b[s - 1], collect);
-          }
-          if (s + 1 < shards && key_less(new_b[s], old_b[s])) {
-            view.snapshot.for_each_range(new_b[s], old_b[s], collect);
-          }
-        } else {
-          view.snapshot.for_each(collect);
-        }
-      }
-      for (std::size_t d = 0; d < shards; ++d) {
-        if (per_dest[d].empty()) continue;
-        ctxs_[d].stats.mig_keys_in += per_dest[d].size();
-        install_slice(d, per_dest[d], e);
-      }
-      // Destinations no later source can reach are complete.
-      for (std::size_t d = 0; d < shards; ++d) {
-        if (e->is_ready(d)) continue;
-        const bool complete =
-            d + 1 == shards
-                ? s + 1 == shards
-                : s + 1 == shards || !key_less(old_b[s], new_b[d]);
-        if (complete) e->set_ready(d);
-      }
-      if (!erases.empty()) {
-        ctxs_[s].stats.mig_keys_out += erases.size();
-        run_chunked(s, erases, nullptr);
-      }
-    }
-  }
-
-  /// Generic fallback (no range structure to extract with): full
-  /// extraction, per-destination sorted installs, then the erases.
-  void migrate_generic(Epoch* e, std::uint64_t& moved) {
-    const std::size_t shards = map_->shard_count();
-    std::vector<std::vector<BatchRequest>> incoming(shards);
-    std::vector<std::vector<BatchRequest>> outgoing(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      const auto view = map_->shard(s).pin_versioned(ctxs_[s]);
-      view.snapshot.for_each([&](const Key& k, const Value& v) {
-        const std::size_t owner = e->router(k, shards);
-        if (owner == s) return;
-        incoming[owner].push_back(BatchRequest{OpKind::kInsert, k, v});
-        outgoing[s].push_back(BatchRequest{OpKind::kErase, k, std::nullopt});
-        ++moved;
-      });
-    }
-    const auto by_key = [](const BatchRequest& a, const BatchRequest& b) {
-      return key_less(a.key, b.key);
-    };
-    for (auto& slice : incoming) {
-      std::sort(slice.begin(), slice.end(), by_key);
-    }
-    // Smallest destinations first, each behind its watermark.
-    std::vector<std::size_t> order;
-    for (std::size_t d = 0; d < shards; ++d) {
-      if (incoming[d].empty()) {
-        e->set_ready(d);
-      } else {
-        order.push_back(d);
-      }
-    }
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return incoming[a].size() < incoming[b].size();
-    });
-    for (const std::size_t d : order) {
-      ctxs_[d].stats.mig_keys_in += incoming[d].size();
-      install_slice(d, incoming[d], e);
-      e->set_ready(d);
-    }
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (outgoing[s].empty()) continue;
-      ctxs_[s].stats.mig_keys_out += outgoing[s].size();
-      run_chunked(s, outgoing[s], nullptr);
-    }
+    return moved;
   }
 
   static bool key_less(const Key& a, const Key& b) {
@@ -875,22 +702,17 @@ class Rebalancer {
     }
   }
 
-  /// Keys installed per watermark bump: small enough that parked traffic
-  /// resumes every few milliseconds as the big cold-destination install
-  /// advances, large enough that the bulk ingest path still amortizes.
-  static constexpr std::size_t kWatermarkChunk = 8192;
-
   /// Runs one shard's migration batch (key-sorted, key-unique) through
   /// its install path: as a lane task on `exec` when non-null (FIFO with
   /// client sub-batches, no stop-the-world; `ticket` joined by the
-  /// caller), synchronously from this thread otherwise (returns true).
+  /// caller), synchronously from this thread otherwise.
   /// `exec` is the caller's one-time snapshot of the map's executor —
   /// re-reading it here could see an executor attached mid-migration and
   /// enqueue a task whose null ticket the caller would never join.
   /// Either way the backend's bulk ingest_sorted path carries the batch
   /// when available — giant sorted sweeps, a few CASes — with
   /// execute_batch as the generic fallback.
-  bool run_shard_batch(ShardExecutor<Uc>* exec, std::size_t s,
+  void run_shard_batch(ShardExecutor<Uc>* exec, std::size_t s,
                        std::span<const BatchRequest> reqs, bool* results,
                        BatchTicket* ticket) {
     if (exec != nullptr) {
@@ -899,7 +721,7 @@ class Rebalancer {
       task.results = results;
       task.ticket = ticket;
       task.sorted_unique = true;
-      if (exec->submit(s, task)) return false;
+      if (exec->submit(s, task)) return;
       // Stopping executor: run the batch ourselves, settle the slot.
     }
     Uc& uc = map_->shard(s);
@@ -910,7 +732,6 @@ class Rebalancer {
       uc.execute_batch(ctxs_[s], reqs, out);
     }
     if (ticket != nullptr) ticket->complete_one();
-    return true;
   }
 
   /// Every migration op must land — inserts into territory the
@@ -931,21 +752,12 @@ class Rebalancer {
 #endif
   }
 
-  /// Installs one destination's (possibly partial — one segment's worth)
-  /// incoming slice, advancing its watermark chunk by chunk so parked
-  /// traffic resumes progressively. Does NOT set the ready bit: the
-  /// caller knows when no further segment can contribute.
-  void install_slice(std::size_t d, std::vector<BatchRequest>& slice,
-                     Epoch* e) {
-    run_chunked(d, slice, e);
-  }
-
   /// Applies `reqs` (key-sorted, key-unique) to `shard` in
   /// kWatermarkChunk-sized pieces through run_shard_batch. With a
   /// non-null `e` the pieces are an incoming install for destination
   /// `shard` and the watermark advances after each one; null = erase
   /// sweep, no watermark.
-  void run_chunked(std::size_t shard, std::vector<BatchRequest>& reqs,
+  void run_chunked(std::size_t shard, std::span<const BatchRequest> reqs,
                    Epoch* e) {
     const auto results = std::make_unique<bool[]>(
         std::min(reqs.size(), kWatermarkChunk));
@@ -964,11 +776,7 @@ class Rebalancer {
       }
       assert_all_landed(chunk, results.get());
       off += n;
-      if (e != nullptr) {
-        if constexpr (Epoch::kHasWatermark) {
-          e->advance_watermark(shard, chunk.back().key);
-        }
-      }
+      if (e != nullptr) e->advance_watermark(shard, chunk.back().key);
     }
   }
 

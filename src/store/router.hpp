@@ -14,7 +14,9 @@
 //     (shard index is monotone in the key, so ordered iteration is plain
 //     concatenation) and locality (a clustered batch lands on one shard's
 //     sorted-sweep install path), at the price of skew under non-uniform
-//     key distributions.
+//     key distributions. A RangeRouter is static: the Rebalancer plans
+//     and migrates tablet tables only (store/tablet_router.hpp), where a
+//     contiguous split is the table with one tablet per shard.
 //
 // RouterFor is the contract ShardedMap checks: routing, a shard-count
 // compatibility probe (range routers are built for one specific count),
@@ -25,8 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <limits>
-#include <span>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -95,37 +95,6 @@ class RangeRouter {
           width / shards * i + width % shards * i / shards;
       bounds.push_back(
           static_cast<K>(static_cast<std::uint64_t>(lo) + off));
-    }
-    return RangeRouter{std::move(bounds)};
-  }
-
-  /// Quantile-fitted split of a *sampled key distribution*: bound i is the
-  /// i/shards-quantile of `sorted_samples`, so each shard sees ~the same
-  /// share of the offered load the sample was drawn from — the constructor
-  /// the Rebalancer uses to turn a KeySketch reservoir into a topology,
-  /// and usable standalone for statically fitting a known workload.
-  /// Duplicate quantiles (a heavy hitter spanning several quantile slots)
-  /// are resolved by bumping each bound just past the previous one, which
-  /// keeps the bounds strictly increasing at the price of some near-empty
-  /// shards — the honest rendering of "one key carries > 1/S of the load".
-  static RangeRouter from_samples(std::span<const K> sorted_samples,
-                                  std::size_t shards)
-    requires std::integral<K>
-  {
-    PC_ASSERT(shards >= 1, "from_samples needs shards >= 1");
-    PC_ASSERT(!sorted_samples.empty() || shards == 1,
-              "from_samples needs a non-empty sample");
-    std::vector<K> bounds;
-    bounds.reserve(shards - 1);
-    const std::size_t n = sorted_samples.size();
-    for (std::size_t i = 1; i < shards; ++i) {
-      K q = sorted_samples[i * n / shards];
-      if (!bounds.empty() && q <= bounds.back()) {
-        PC_ASSERT(bounds.back() < std::numeric_limits<K>::max(),
-                  "sample quantiles saturate the key type");
-        q = bounds.back() + 1;
-      }
-      bounds.push_back(q);
     }
     return RangeRouter{std::move(bounds)};
   }

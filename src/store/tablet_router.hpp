@@ -32,14 +32,14 @@
 
 #include <concepts>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <limits>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "store/router.hpp"
 #include "util/assert.hpp"
 
 namespace pathcopy::store {
@@ -78,27 +78,15 @@ class TabletRouter {
   }
 
   /// Equal-width tablets over [lo, hi), tablet i owned by shard i —
-  /// routes identically to RangeRouter::uniform, as the seed topology a
-  /// rebalancer refines. Same unsigned-width arithmetic (full-range key
-  /// spaces split without signed overflow).
+  /// RangeRouter::uniform's bounds, so it routes identically; the seed
+  /// topology a rebalancer refines.
   static TabletRouter uniform(K lo, K hi, std::size_t shards)
     requires std::integral<K>
   {
-    PC_ASSERT(shards >= 1 && lo < hi, "uniform needs shards >= 1 and lo < hi");
-    const std::uint64_t width =
-        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
-    PC_ASSERT(width >= shards, "uniform needs at least one key per shard");
-    std::vector<K> bounds;
-    std::vector<std::size_t> owners;
-    bounds.reserve(shards - 1);
-    owners.reserve(shards);
-    for (std::size_t i = 1; i < shards; ++i) {
-      const std::uint64_t off = width / shards * i + width % shards * i / shards;
-      bounds.push_back(static_cast<K>(static_cast<std::uint64_t>(lo) + off));
-      owners.push_back(i - 1);
-    }
-    owners.push_back(shards - 1);
-    return TabletRouter{std::move(bounds), std::move(owners)};
+    std::vector<std::size_t> owners(shards);
+    std::iota(owners.begin(), owners.end(), std::size_t{0});
+    return TabletRouter{RangeRouter<K, Cmp>::uniform(lo, hi, shards).bounds(),
+                        std::move(owners)};
   }
 
   std::size_t operator()(const K& key, std::size_t shards) const {

@@ -326,5 +326,22 @@ TEST(Avl, SortedReadBatchMatchesPerKeyFind) {
                                     test::BatchKeyPattern::kClustered);
 }
 
+/// check_invariants() must reject a hand-built tree whose sibling heights
+/// differ by two. Nodes are plain structs whose constructor fills in the
+/// true height and size, so only the balance is wrong.
+TEST(Avl, CheckInvariantsRejectsAHeightGapOfTwo) {
+  using N = A::Node;
+  const N one(1, 10, nullptr, nullptr);
+  const N five(5, 50, &one, nullptr);
+  const N ten(10, 100, &five, nullptr);    // heights 2 | 0
+  const N ten_ok(10, 100, &one, nullptr);  // heights 1 | 0
+  for (const N* n : {&one, &five, &ten, &ten_ok}) {
+    n->pc_state_ = core::NodeState::kPublished;
+  }
+  EXPECT_TRUE(A::from_root(&five).check_invariants());
+  EXPECT_TRUE(A::from_root(&ten_ok).check_invariants());
+  EXPECT_FALSE(A::from_root(&ten).check_invariants());
+}
+
 }  // namespace
 }  // namespace pathcopy

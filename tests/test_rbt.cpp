@@ -359,5 +359,25 @@ TEST(Rbt, SortedReadBatchMatchesPerKeyFind) {
                                     test::BatchKeyPattern::kClustered);
 }
 
+/// check_invariants() must reject a hand-built tree with a red node under
+/// a red node. Every path still sees the same number of blacks and the
+/// root is black, so the red-red edge is the only fault.
+TEST(Rbt, CheckInvariantsRejectsARedNodeWithARedChild) {
+  using N = R::Node;
+  constexpr R::Color kRed = R::Color::kRed;
+  constexpr R::Color kBlack = R::Color::kBlack;
+  const N three(kRed, nullptr, 3, 30, nullptr);
+  const N five(kRed, &three, 5, 50, nullptr);
+  const N ten(kBlack, &five, 10, 100, nullptr);
+  const N five_ok(kRed, nullptr, 5, 50, nullptr);
+  const N fifteen(kRed, nullptr, 15, 150, nullptr);
+  const N ten_ok(kBlack, &five_ok, 10, 100, &fifteen);
+  for (const N* n : {&three, &five, &ten, &five_ok, &fifteen, &ten_ok}) {
+    n->pc_state_ = core::NodeState::kPublished;
+  }
+  EXPECT_TRUE(R::from_root(&ten_ok).check_invariants());
+  EXPECT_FALSE(R::from_root(&ten).check_invariants());
+}
+
 }  // namespace
 }  // namespace pathcopy

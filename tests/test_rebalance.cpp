@@ -1,6 +1,6 @@
-// Adaptive shard rebalancing: routing epochs, quantile-fitted split
-// points, and live path-copying shard migration (store/rebalancer.hpp,
-// store/router_epoch.hpp).
+// Adaptive shard rebalancing over tablet tables: routing epochs,
+// sketch-fitted tablet plans, continuous ticks, and live path-copying
+// shard migration (store/rebalancer.hpp, store/router_epoch.hpp).
 //
 // The load-bearing guarantees under test:
 //   * migration preserves contents exactly — no key lost, none
@@ -8,13 +8,25 @@
 //   * per-op outcomes stay correct across a flip (an op on a moving key
 //     gates until its new owner holds the data, so insert/erase results
 //     are computed against complete state);
-//   * after a flip every shard holds exactly the keys the new topology
+//   * after a flip every shard holds exactly the keys the new table
 //     assigns it (the invariant the extraction/install/erase phases
 //     maintain);
 //   * consistent cuts are wholly-before or wholly-after a flip, never a
 //     mixture (a mixed cut would double-count or drop the moving range);
-//   * the sketch → plan → migrate loop actually balances a skewed
-//     offered load.
+//   * a split-only flip migrates ZERO keys (boundaries changed, owners
+//     didn't — the tablet diff is empty), and a single-tablet
+//     reassignment moves exactly that tablet's resident keys;
+//   * the sketch → plan → migrate loop fixes a hot-head skew while
+//     migrating a small fraction of the resident mass, and plans nothing
+//     under balanced traffic;
+//   * the continuous tick loop reaches balance as a stream of small
+//     flips, and client ops stay exact through ≥ 20 throttled
+//     single-tablet moves;
+//   * an executor stopped mid-migration leaves the migration to finish
+//     its batches on the calling thread, losing nothing.
+//
+// A static contiguous split is the tablet table with one tablet per
+// shard: TabR({b0, b1, b2}, {0, 1, 2, 3}).
 //
 // The concurrent cases run under TSan in CI (the drain handshake, the
 // settle release, and the gate loop are exactly the code TSan vets).
@@ -37,7 +49,7 @@
 #include "reclaim/epoch.hpp"
 #include "store/executor.hpp"
 #include "store/rebalancer.hpp"
-#include "store/router.hpp"
+#include "store/tablet_router.hpp"
 #include "store/shard_stats.hpp"
 #include "store/sharded_map.hpp"
 #include "util/rng.hpp"
@@ -50,12 +62,12 @@ using Smr = reclaim::EpochReclaimer;
 using MA = alloc::MallocAlloc;
 using PlainUc = core::Atom<T, Smr, MA>;
 using CombUc = core::CombiningAtom<T, Smr, MA>;
-using RangeR = store::RangeRouter<std::int64_t>;
+using TabR = store::TabletRouter<std::int64_t>;
 
 template <class UcT>
 struct Fix {
   using Uc = UcT;
-  using Map = store::ShardedMap<Uc, RangeR>;
+  using Map = store::ShardedMap<Uc, TabR>;
   using Reb = store::Rebalancer<Map>;
 };
 
@@ -68,15 +80,15 @@ TYPED_TEST_SUITE(RebalanceTyped, Fixes);
 TYPED_TEST(RebalanceTyped, ManualMigrationPreservesContentsAndTopology) {
   MA a;
   {
-    typename TypeParam::Map map(4, a, RangeR::uniform(0, 1 << 20, 4));
+    typename TypeParam::Map map(4, a, TabR::uniform(0, 1 << 20, 4));
     typename TypeParam::Map::Session session(map, a);
-    // Skewed seed: everything lives in shard 0's uniform range.
+    // Skewed seed: everything lives in shard 0's uniform tablet.
     std::vector<std::pair<std::int64_t, std::int64_t>> items;
     for (std::int64_t k = 0; k < 4000; k += 2) items.emplace_back(k, k * 3);
     session.seed_sorted(items.begin(), items.end());
 
     typename TypeParam::Reb reb(map, a);
-    reb.migrate_to(RangeR({1000, 2000, 3000}));
+    reb.migrate_to(TabR({1000, 2000, 3000}, {0, 1, 2, 3}));
 
     EXPECT_EQ(reb.stats().migrations, 1u);
     EXPECT_GT(reb.stats().keys_moved, 0u);
@@ -85,7 +97,7 @@ TYPED_TEST(RebalanceTyped, ManualMigrationPreservesContentsAndTopology) {
 
     // Contents unchanged, no loss, no duplication.
     EXPECT_EQ(session.items(), items);
-    // Every shard holds exactly its new range: [0,1000) has 500 even
+    // Every shard holds exactly its new tablet: [0,1000) has 500 even
     // keys, etc. — checked through per-shard sizes via a cut.
     session.read_cut([&](const store::ConsistentCut<typename TypeParam::Uc>&
                              cut) {
@@ -94,52 +106,11 @@ TYPED_TEST(RebalanceTyped, ManualMigrationPreservesContentsAndTopology) {
       }
       return 0;
     });
-    // The map stays fully operational under the fitted topology.
+    // The map stays fully operational under the new table.
     EXPECT_TRUE(session.insert(1, 7));
     EXPECT_FALSE(session.insert(0, 9));
     EXPECT_TRUE(session.erase(2));
     EXPECT_EQ(session.size(), items.size());
-  }
-  EXPECT_EQ(a.stats().live_blocks(), 0u);
-}
-
-TYPED_TEST(RebalanceTyped, SketchDrivenPlanBalancesSkewedLoad) {
-  MA a;
-  {
-    typename TypeParam::Map map(8, a, RangeR::uniform(0, 1 << 20, 8));
-    typename TypeParam::Map::Session session(map, a);
-    typename TypeParam::Reb reb(map, a);
-
-    // Balanced traffic: no plan.
-    util::Xoshiro256 rng(11);
-    for (int i = 0; i < 4096; ++i) {
-      session.insert(rng.range(0, (1 << 20) - 1), 1);
-    }
-    EXPECT_FALSE(reb.maybe_rebalance());
-
-    // Heavily skewed traffic: all ops land in shard 0's range.
-    map.sketch().reset();
-    for (int i = 0; i < 4096; ++i) {
-      const std::int64_t k = rng.range(0, 999);
-      if (rng.chance(1, 2)) {
-        session.insert(k, k);
-      } else {
-        session.erase(k);
-      }
-    }
-    ASSERT_TRUE(reb.maybe_rebalance());
-    EXPECT_EQ(reb.stats().migrations, 1u);
-    EXPECT_GE(reb.stats().last_imbalance, 1.3);
-
-    // The fitted bounds slice the hot range across shards: offered load
-    // per shard under the new topology is near-even.
-    const auto& router = map.current_epoch()->router;
-    std::vector<std::size_t> load(8, 0);
-    util::Xoshiro256 probe(12);
-    for (int i = 0; i < 8000; ++i) ++load[router(probe.range(0, 999), 8)];
-    for (std::size_t s = 0; s < 8; ++s) {
-      EXPECT_GT(load[s], 8000u / 8 / 4) << "shard " << s << " still cold";
-    }
   }
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
@@ -158,7 +129,7 @@ void run_concurrent_oracle(bool with_executor) {
   constexpr std::int64_t kSpace = 1 << 20;
   MA a;
   {
-    Map map(4, a, RangeR::uniform(0, kSpace, 4));
+    Map map(4, a, TabR::uniform(0, kSpace, 4));
     std::optional<store::ShardExecutor<typename TP::Uc>> exec;
     if (with_executor) exec.emplace(map, [&a]() -> MA& { return a; });
     std::atomic<bool> stop{false};
@@ -202,9 +173,10 @@ void run_concurrent_oracle(bool with_executor) {
       std::uint64_t flips = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         if (uniform) {
-          reb.migrate_to(RangeR::uniform(0, kSpace, 4));
+          reb.migrate_to(TabR::uniform(0, kSpace, 4));
         } else {
-          reb.migrate_to(RangeR({kSpace / 16, kSpace / 8, kSpace / 2}));
+          reb.migrate_to(
+              TabR({kSpace / 16, kSpace / 8, kSpace / 2}, {0, 1, 2, 3}));
         }
         uniform = !uniform;
         ++flips;
@@ -248,7 +220,7 @@ TYPED_TEST(RebalanceTyped, BatchIngestSurvivesMigrations) {
   constexpr std::int64_t kSpace = 1 << 16;
   MA a;
   {
-    Map map(4, a, RangeR::uniform(0, kSpace, 4));
+    Map map(4, a, TabR::uniform(0, kSpace, 4));
     std::atomic<bool> stop{false};
     std::vector<std::thread> workers;
     for (int w = 0; w < 2; ++w) {
@@ -276,9 +248,9 @@ TYPED_TEST(RebalanceTyped, BatchIngestSurvivesMigrations) {
     std::thread flipper([&] {
       bool uniform = false;
       while (!stop.load(std::memory_order_relaxed)) {
-        reb.migrate_to(uniform
-                           ? RangeR::uniform(0, kSpace, 4)
-                           : RangeR({kSpace / 8, kSpace / 4, kSpace / 2}));
+        reb.migrate_to(
+            uniform ? TabR::uniform(0, kSpace, 4)
+                    : TabR({kSpace / 8, kSpace / 4, kSpace / 2}, {0, 1, 2, 3}));
         uniform = !uniform;
         std::this_thread::yield();
       }
@@ -303,7 +275,7 @@ TYPED_TEST(RebalanceTyped, CutsNeverMixTopologies) {
   constexpr std::int64_t kSpace = 1 << 16;
   MA a;
   {
-    Map map(4, a, RangeR::uniform(0, kSpace, 4));
+    Map map(4, a, TabR::uniform(0, kSpace, 4));
     typename Map::Session seeder(map, a);
     std::vector<std::pair<std::int64_t, std::int64_t>> oracle;
     for (std::int64_t k = 0; k < kSpace; k += 37) oracle.emplace_back(k, ~k);
@@ -337,9 +309,10 @@ TYPED_TEST(RebalanceTyped, CutsNeverMixTopologies) {
     }
     typename TypeParam::Reb reb(map, a);
     for (int f = 0; f < 40; ++f) {
-      reb.migrate_to(f % 2 == 0
-                         ? RangeR({kSpace / 16, kSpace / 4, kSpace / 2})
-                         : RangeR::uniform(0, kSpace, 4));
+      reb.migrate_to(
+          f % 2 == 0
+              ? TabR({kSpace / 16, kSpace / 4, kSpace / 2}, {0, 1, 2, 3})
+              : TabR::uniform(0, kSpace, 4));
       std::this_thread::yield();
     }
     stop.store(true);
@@ -354,11 +327,11 @@ TYPED_TEST(RebalanceTyped, CutsNeverMixTopologies) {
 TYPED_TEST(RebalanceTyped, MigrationCountersReachTheBoard) {
   MA a;
   {
-    typename TypeParam::Map map(2, a, RangeR::uniform(0, 1024, 2));
+    typename TypeParam::Map map(2, a, TabR::uniform(0, 1024, 2));
     typename TypeParam::Map::Session session(map, a);
     for (std::int64_t k = 0; k < 512; ++k) session.insert(k, k);
     typename TypeParam::Reb reb(map, a);
-    reb.migrate_to(RangeR({128}));  // moves [128, 512) from shard 0 to 1
+    reb.migrate_to(TabR({128}, {0, 1}));  // moves [128, 512) from 0 to 1
     store::ShardStatsBoard board(2);
     reb.fold_into(board);
     EXPECT_EQ(board.shard(1).mig_keys_in, 384u);
@@ -370,37 +343,7 @@ TYPED_TEST(RebalanceTyped, MigrationCountersReachTheBoard) {
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
 
-// ===================== tablet-table rebalancing =====================
-//
-// The same map/migration machinery over a TabletRouter, plus the
-// continuous mode. The added guarantees under test:
-//   * a split-only flip migrates ZERO keys (boundaries changed, owners
-//     didn't — the tablet diff is empty);
-//   * a single-tablet reassignment moves exactly that tablet's resident
-//     keys and nothing else;
-//   * plan_tablets fixes a hot-head skew while migrating a small
-//     fraction of the resident mass (the PR's headline metric, in
-//     miniature);
-//   * the continuous tick loop reaches balance as a stream of small
-//     flips, and client ops stay exact through ≥ 20 throttled
-//     single-tablet moves (the TSan-enrolled oracle).
-
-using TabR = store::TabletRouter<std::int64_t>;
-
-template <class UcT>
-struct TabFix {
-  using Uc = UcT;
-  using Map = store::ShardedMap<Uc, TabR>;
-  using Reb = store::Rebalancer<Map>;
-};
-
-template <class F>
-class TabletRebalanceTyped : public ::testing::Test {};
-
-using TabFixes = ::testing::Types<TabFix<PlainUc>, TabFix<CombUc>>;
-TYPED_TEST_SUITE(TabletRebalanceTyped, TabFixes);
-
-TYPED_TEST(TabletRebalanceTyped, SplitOnlyFlipMigratesZeroKeys) {
+TYPED_TEST(RebalanceTyped, SplitOnlyFlipMigratesZeroKeys) {
   constexpr std::int64_t kSpace = 1 << 20;
   MA a;
   {
@@ -433,7 +376,7 @@ TYPED_TEST(TabletRebalanceTyped, SplitOnlyFlipMigratesZeroKeys) {
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
 
-TYPED_TEST(TabletRebalanceTyped, ReassignMovesExactlyThatTablet) {
+TYPED_TEST(RebalanceTyped, ReassignMovesExactlyThatTablet) {
   constexpr std::int64_t kSpace = 1 << 16;
   MA a;
   {
@@ -473,7 +416,7 @@ TYPED_TEST(TabletRebalanceTyped, ReassignMovesExactlyThatTablet) {
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
 
-TYPED_TEST(TabletRebalanceTyped, PlanFixesHotHeadCheaply) {
+TYPED_TEST(RebalanceTyped, PlanFixesHotHeadCheaply) {
   constexpr std::int64_t kSpace = 1 << 20;
   MA a;
   {
@@ -483,10 +426,19 @@ TYPED_TEST(TabletRebalanceTyped, PlanFixesHotHeadCheaply) {
     std::vector<std::pair<std::int64_t, std::int64_t>> items;
     for (std::int64_t k = 0; k < kSpace; k += 32) items.emplace_back(k, k);
     session.seed_sorted(items.begin(), items.end());
-    const std::size_t resident = session.size();
 
     typename TypeParam::Reb reb(map, a);
     util::Xoshiro256 rng(21);
+    // Balanced traffic: no plan.
+    for (int i = 0; i < 4096; ++i) session.insert(rng.range(0, kSpace - 1), 1);
+    EXPECT_FALSE(reb.maybe_rebalance());
+    EXPECT_EQ(reb.stats().plans, 1u);  // measured, found balanced
+    EXPECT_LT(reb.stats().last_imbalance, 1.3);
+    EXPECT_EQ(reb.stats().migrations, 0u);
+    map.sketch().reset();
+    const std::size_t resident = session.size();
+
+    // Heavily skewed traffic: every op lands in shard 0's tablet.
     for (int i = 0; i < 8192; ++i) {
       const std::int64_t k = rng.range(0, 1023);
       if (rng.chance(1, 2)) {
@@ -496,6 +448,7 @@ TYPED_TEST(TabletRebalanceTyped, PlanFixesHotHeadCheaply) {
       }
     }
     ASSERT_TRUE(reb.maybe_rebalance());
+    EXPECT_EQ(reb.stats().migrations, 1u);
     EXPECT_GE(reb.stats().last_imbalance, 1.3);
 
     // Balance reached: the offered (hot-head) load now spreads across
@@ -519,7 +472,7 @@ TYPED_TEST(TabletRebalanceTyped, PlanFixesHotHeadCheaply) {
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
 
-TYPED_TEST(TabletRebalanceTyped, ContinuousTicksReachBalance) {
+TYPED_TEST(RebalanceTyped, ContinuousTicksReachBalance) {
   constexpr std::int64_t kSpace = 1 << 20;
   MA a;
   {
@@ -575,7 +528,7 @@ TYPED_TEST(TabletRebalanceTyped, ContinuousTicksReachBalance) {
 /// ticker thread driving reb.tick() until >= 20 throttled single-tablet
 /// moves have executed. Every worker op asserts its exact outcome
 /// through the flips; final contents are exact.
-TYPED_TEST(TabletRebalanceTyped, ContinuousOracleAcrossThrottledMoves) {
+TYPED_TEST(RebalanceTyped, ContinuousOracleAcrossThrottledMoves) {
   using Map = typename TypeParam::Map;
   constexpr int kThreads = 4;
   constexpr int kKeysPerThread = 96;
@@ -658,6 +611,69 @@ TYPED_TEST(TabletRebalanceTyped, ContinuousOracleAcrossThrottledMoves) {
     typename Map::Session session(map, a);
     EXPECT_EQ(session.size(), 0u);
     EXPECT_TRUE(session.items().empty());
+  }
+  EXPECT_EQ(a.stats().live_blocks(), 0u);
+}
+
+/// An executor stopped while a migration runs: the chunk already queued
+/// on the destination's lane drains there, and every later chunk the
+/// stopping lane refuses runs on the migrating thread instead
+/// (run_shard_batch's fallback), so the flip completes with nothing lost
+/// or applied twice. The workers start paused, so the first install
+/// chunk is provably sitting on its lane when stop() is called.
+TYPED_TEST(RebalanceTyped, ExecutorStoppedMidMigrationLosesNothing) {
+  using Map = typename TypeParam::Map;
+  using Reb = typename TypeParam::Reb;
+  using Exec = store::ShardExecutor<typename TypeParam::Uc>;
+  constexpr std::int64_t kSpace = 1 << 20;
+  constexpr std::int64_t kTablet = kSpace / 4;
+  // More than four watermark chunks move, so the install spans several.
+  constexpr std::size_t kMoving = 4 * Reb::kWatermarkChunk + 1000;
+  constexpr std::size_t kOther = 1000;  // resident in each other tablet
+  MA a;
+  {
+    Map map(4, a, TabR::uniform(0, kSpace, 4));
+    typename Map::Session session(map, a);
+    std::vector<std::pair<std::int64_t, std::int64_t>> items;
+    for (std::size_t i = 0; i < kMoving; ++i) {
+      const auto k = static_cast<std::int64_t>(i) * 6;
+      items.emplace_back(k, ~k);
+    }
+    for (std::int64_t t = 1; t < 4; ++t) {
+      for (std::size_t i = 0; i < kOther; ++i) {
+        const std::int64_t k = t * kTablet + static_cast<std::int64_t>(i) * 7;
+        items.emplace_back(k, ~k);
+      }
+    }
+    ASSERT_LT(items[kMoving - 1].first, kTablet);
+    session.seed_sorted(items.begin(), items.end());
+
+    typename Exec::Options opts;
+    opts.start_paused = true;
+    std::optional<Exec> exec;
+    exec.emplace(map, [&a]() -> MA& { return a; }, opts);
+    Reb reb(map, a);
+    std::thread stopper([&] {
+      // Tablet 0 moves to shard 1: wait for its first install chunk.
+      while (exec->queue_depth(1) == 0) std::this_thread::yield();
+      exec->stop();
+    });
+    reb.migrate_to(map.router().with_owner(0, 1));
+    stopper.join();
+
+    EXPECT_EQ(map.executor(), nullptr);
+    EXPECT_GE(exec->shard_stats(1).exec_tasks, 1u);  // the queued chunk ran
+    EXPECT_EQ(reb.stats().keys_moved, kMoving);
+    EXPECT_EQ(session.items(), items);
+    session.read_cut(
+        [&](const store::ConsistentCut<typename TypeParam::Uc>& cut) {
+          EXPECT_EQ(cut.snapshot(0).size(), 0u);
+          EXPECT_EQ(cut.snapshot(1).size(), kMoving + kOther);
+          EXPECT_EQ(cut.snapshot(2).size(), kOther);
+          EXPECT_EQ(cut.snapshot(3).size(), kOther);
+          return 0;
+        });
+    exec.reset();
   }
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }

@@ -138,90 +138,6 @@ TEST(Router, RangeUniformSplitsFullWidthRangesWithoutOverflow) {
 // exactly one shard per key, monotone half-open coverage — plus the
 // fitting property (each shard draws ~an equal share of the sampled
 // load) and graceful degeneration under heavy duplication.
-TEST(Router, FromSamplesFitsQuantilesAndKeepsRouterInvariants) {
-  util::Xoshiro256 rng(99);
-  for (const std::size_t shards : {2u, 4u, 8u}) {
-    // A skewed sample: half the mass in [0, 100), the rest spread wide.
-    std::vector<std::int64_t> sample;
-    for (int i = 0; i < 4096; ++i) {
-      sample.push_back(rng.chance(1, 2) ? rng.range(0, 99)
-                                        : rng.range(100, 1 << 20));
-    }
-    std::sort(sample.begin(), sample.end());
-    const auto r =
-        RangeR::from_samples(std::span<const std::int64_t>(sample), shards);
-    ASSERT_TRUE(r.compatible(shards));
-    ASSERT_EQ(r.bounds().size(), shards - 1);
-    // Strictly increasing bounds, monotone routing, full coverage.
-    for (std::size_t i = 1; i < r.bounds().size(); ++i) {
-      ASSERT_LT(r.bounds()[i - 1], r.bounds()[i]);
-    }
-    std::size_t prev = 0;
-    for (std::int64_t k = -10; k < (1 << 20) + 10; k += 257) {
-      const std::size_t s = r(k, shards);
-      ASSERT_LT(s, shards);
-      ASSERT_GE(s, prev);
-      prev = s;
-    }
-    // Every shard is reachable: bound i-1 itself routes to shard i
-    // (half-open intervals), and anything below the first bound to 0.
-    ASSERT_EQ(r(r.bounds().front() - 1, shards), 0u);
-    for (std::size_t s = 1; s < shards; ++s) {
-      ASSERT_EQ(r(r.bounds()[s - 1], shards), s);
-    }
-    // The fit: every shard's share of the *sample* is near 1/shards.
-    std::vector<std::size_t> load(shards, 0);
-    for (const std::int64_t k : sample) ++load[r(k, shards)];
-    for (std::size_t s = 0; s < shards; ++s) {
-      EXPECT_GE(load[s] * shards * 2, sample.size())
-          << "shard " << s << " got far less than half its fair share";
-      EXPECT_LE(load[s] * shards, 2 * sample.size())
-          << "shard " << s << " got more than twice its fair share";
-    }
-  }
-}
-
-TEST(Router, FromSamplesSurvivesHeavyDuplication) {
-  // One heavy hitter spanning every quantile: bounds must still be
-  // strictly increasing (bumped past each other), and routing stays a
-  // valid partition even though most shards end up near-empty.
-  std::vector<std::int64_t> sample(1000, 42);
-  sample.push_back(1000);
-  std::sort(sample.begin(), sample.end());
-  const auto r = RangeR::from_samples(std::span<const std::int64_t>(sample), 4);
-  ASSERT_TRUE(r.compatible(4));
-  for (std::size_t i = 1; i < r.bounds().size(); ++i) {
-    ASSERT_LT(r.bounds()[i - 1], r.bounds()[i]);
-  }
-  std::size_t prev = 0;
-  for (std::int64_t k = 0; k < 2000; ++k) {
-    const std::size_t s = r(k, 4);
-    ASSERT_LT(s, 4u);
-    ASSERT_GE(s, prev);
-    prev = s;
-  }
-}
-
-TEST(Router, FromSamplesSingleShardAndTinySamples) {
-  const std::vector<std::int64_t> one{7};
-  const auto r1 =
-      RangeR::from_samples(std::span<const std::int64_t>(one), 1);
-  EXPECT_TRUE(r1.compatible(1));
-  EXPECT_EQ(r1(std::int64_t{-100}, 1), 0u);
-  // Fewer distinct samples than shards: padding keeps the partition
-  // valid.
-  const std::vector<std::int64_t> tiny{5, 5, 5};
-  const auto r4 =
-      RangeR::from_samples(std::span<const std::int64_t>(tiny), 4);
-  EXPECT_TRUE(r4.compatible(4));
-  std::size_t prev = 0;
-  for (std::int64_t k = 0; k < 20; ++k) {
-    const std::size_t s = r4(k, 4);
-    ASSERT_GE(s, prev);
-    prev = s;
-  }
-}
-
 TEST(Router, RangeBoundsAreHalfOpen) {
   const RangeR r(std::vector<std::int64_t>{10, 20});
   EXPECT_EQ(r(9, 3), 0u);

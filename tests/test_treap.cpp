@@ -435,5 +435,20 @@ TEST(Treap, SortedReadBatchMatchesPerKeyFind) {
                                     test::BatchKeyPattern::kClustered);
 }
 
+/// check_invariants() must reject a hand-built treap whose child has a
+/// higher priority than its parent (max-heap order on priorities).
+TEST(Treap, CheckInvariantsRejectsAChildThatOutranksItsParent) {
+  using N = T::Node;
+  const N five(5, 50, /*prio=*/9, nullptr, nullptr);
+  const N ten(10, 100, /*prio=*/5, &five, nullptr);
+  const N five_ok(5, 50, /*prio=*/5, nullptr, nullptr);
+  const N ten_ok(10, 100, /*prio=*/9, &five_ok, nullptr);
+  for (const N* n : {&five, &ten, &five_ok, &ten_ok}) {
+    n->pc_state_ = core::NodeState::kPublished;
+  }
+  EXPECT_TRUE(T::from_root(&ten_ok).check_invariants());
+  EXPECT_FALSE(T::from_root(&ten).check_invariants());
+}
+
 }  // namespace
 }  // namespace pathcopy

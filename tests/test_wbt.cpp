@@ -245,5 +245,25 @@ TEST(Wbt, SortedReadBatchMatchesPerKeyFind) {
                                     test::BatchKeyPattern::kClustered);
 }
 
+/// check_invariants() must reject a hand-built tree whose sibling weights
+/// break w(a) <= kDelta * w(b) (weight = size + 1). The valid control sits
+/// exactly on the bound.
+TEST(Wbt, CheckInvariantsRejectsADeltaViolation) {
+  static_assert(W::kDelta == 3);
+  using N = W::Node;
+  const N three(3, 30, nullptr, nullptr);
+  const N seven(7, 70, nullptr, nullptr);
+  const N five(5, 50, &three, &seven);
+  const N ten(10, 100, &five, nullptr);  // weights 4 | 1: 4 > 3 * 1
+  const N five_ok(5, 50, &three, nullptr);
+  const N ten_ok(10, 100, &five_ok, nullptr);  // weights 3 | 1: on the bound
+  for (const N* n : {&three, &seven, &five, &ten, &five_ok, &ten_ok}) {
+    n->pc_state_ = core::NodeState::kPublished;
+  }
+  EXPECT_TRUE(W::from_root(&five).check_invariants());
+  EXPECT_TRUE(W::from_root(&ten_ok).check_invariants());
+  EXPECT_FALSE(W::from_root(&ten).check_invariants());
+}
+
 }  // namespace
 }  // namespace pathcopy
