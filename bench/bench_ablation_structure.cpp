@@ -4,10 +4,10 @@
 // runs the Random workload over the persistent treap (the paper's choice),
 // the external BST (the analysis model's choice) and the AVL tree, plus
 // the coarse-locked mutable treap as the blocking baseline. It reports
-// throughput and the per-update copy cost (nodes created per installed
-// update) for each — the treap's split/merge copies roughly twice the
-// plain search path, AVL adds rotation copies, and the external BST copies
-// exactly the internal path.
+// throughput and the per-update copy cost (nodes and pool bytes created
+// per installed update) for each — the treap's split/merge copies roughly
+// twice the plain search path, AVL adds rotation copies, and the external
+// BST copies exactly the internal path.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -152,20 +152,29 @@ double batch_apply_cost(std::size_t initial, unsigned batch,
              : static_cast<double>(created) / static_cast<double>(ops_done);
 }
 
-// Copy cost: nodes created per successful update, measured standalone.
+// Copy cost per successful update, measured standalone: nodes created,
+// and the pool-class bytes those nodes take (what the copy writes and the
+// reclaimer later frees).
+struct CopyCost {
+  double nodes = 0.0;
+  double bytes = 0.0;
+};
+
 template <class DS>
-double copy_cost(std::size_t n) {
+CopyCost copy_cost(std::size_t n) {
   alloc::PoolBackend pool;
   alloc::ThreadCache cache(pool);
   util::Xoshiro256 rng(5);
   DS t;
-  std::uint64_t created = 0, installs = 0;
+  std::uint64_t created = 0, bytes = 0, installs = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t bytes_before = cache.stats().bytes_allocated.load();
     core::Builder<alloc::ThreadCache> b(cache);
     const std::int64_t k = rng.range(0, kKeyRange);
     DS next = rng.chance(1, 2) ? t.insert(b, k, k) : t.erase(b, k);
     if (next.root_ptr() != t.root_ptr()) {
       created += b.stats().created;
+      bytes += cache.stats().bytes_allocated.load() - bytes_before;
       ++installs;
       b.seal();
       auto retired = b.commit();
@@ -175,9 +184,35 @@ double copy_cost(std::size_t n) {
       b.rollback();
     }
   }
-  return installs == 0 ? 0.0
-                       : static_cast<double>(created) /
-                             static_cast<double>(installs);
+  if (installs == 0) return {};
+  const double per = 1.0 / static_cast<double>(installs);
+  return {static_cast<double>(created) * per, static_cast<double>(bytes) * per};
+}
+
+std::size_t pool_block(std::size_t node_bytes) {
+  return alloc::PoolBackend::class_bytes(
+      alloc::PoolBackend::class_of(node_bytes));
+}
+
+// One copy-cost row. The node columns are "sizeof / pool class" of the
+// structure's nodes; the B+tree's are its leaf and internal nodes.
+template <class DS>
+void print_copy_cost(const char* name) {
+  char node[32], block[32];
+  if constexpr (requires { typename DS::LeafNode; }) {
+    using L = typename DS::LeafNode;
+    using I = typename DS::InternalNode;
+    std::snprintf(node, sizeof node, "%zu/%zu", sizeof(L), sizeof(I));
+    std::snprintf(block, sizeof block, "%zu/%zu", pool_block(sizeof(L)),
+                  pool_block(sizeof(I)));
+  } else {
+    using N = typename DS::Node;
+    std::snprintf(node, sizeof node, "%zu", sizeof(N));
+    std::snprintf(block, sizeof block, "%zu", pool_block(sizeof(N)));
+  }
+  const CopyCost c = copy_cost<DS>(60000);
+  std::printf("%-20s  %8s  %8s  %9.1f  %9.0f\n", name, node, block, c.nodes,
+              c.bytes);
 }
 
 }  // namespace
@@ -225,15 +260,20 @@ int main(int argc, char** argv) {
   for (const auto p : procs) std::printf("  %10.0f", run_locked_treap(p, duration_ms));
   std::printf("\n");
 
-  std::printf("\n== E8: path-copy cost (nodes created per installed update, "
-              "steady state at ~%d keys) ==\n", 1 << 15);
-  std::printf("treap (split/merge): %6.1f\n", copy_cost<Treap>(60000));
-  std::printf("external bst:        %6.1f\n", copy_cost<Ebst>(60000));
-  std::printf("avl (rotations):     %6.1f\n", copy_cost<Avl>(60000));
-  std::printf("weight-balanced:     %6.1f\n", copy_cost<Wbt>(60000));
-  std::printf("red-black:           %6.1f\n", copy_cost<Rbt>(60000));
-  std::printf("b+tree fanout 8:     %6.1f\n", copy_cost<B8>(60000));
-  std::printf("\nexpected: extbst ~= path length; treap ~= 2x path (split + "
+  std::printf("\n== E8: path-copy cost per installed update (steady state "
+              "at ~%d keys) ==\n", 1 << 15);
+  std::printf("%-20s  %8s  %8s  %9s  %9s\n", "structure", "node B", "pool B",
+              "nodes/upd", "bytes/upd");
+  print_copy_cost<Treap>("treap (split/merge)");
+  print_copy_cost<Ebst>("external bst");
+  print_copy_cost<Avl>("avl (rotations)");
+  print_copy_cost<Wbt>("weight-balanced");
+  print_copy_cost<Rbt>("red-black");
+  print_copy_cost<B8>("b+tree fanout 8");
+  std::printf("\nnode B = sizeof, pool B = the pool class it is carved from "
+              "(b+tree: leaf/internal); bytes/upd = pool bytes created per "
+              "installed update.\n");
+  std::printf("expected: extbst ~= path length; treap ~= 2x path (split + "
               "merge); avl ~= path + rotation copies; rbt ~= path + recolor "
               "cascade; b+tree ~= its short log_F path (but fat nodes).\n");
 

@@ -50,7 +50,7 @@ class ThreadCache {
   /// Sizing. EpochReclaimer frees a thread's retires one bucket at a
   /// time, and a bucket collects up to kScanInterval = 128 retires before
   /// the thread's own scan can advance the epoch. On the paper's Batch
-  /// workload (2^20-key treap, 64-byte nodes) a retire is one copied path:
+  /// workload (2^20-key treap, 48-byte nodes) a retire is one copied path:
   /// 26.7 nodes on average (traced run; 3-8K nodes pending over its three
   /// threads), and a treap path's length has a tail, so take 32 nodes. A
   /// ripe bucket is then 128 x 32 = 4,096 blocks. It lands on a stack that
@@ -58,13 +58,14 @@ class ThreadCache {
   /// the stack needs 4,096 / (7/8) = 4,682 slots; kStackSlots adds ~30%
   /// headroom for longer paths (a bucket of 42-node paths still fits).
   /// kCacheBytes caps the bytes one class may hold, so classes above
-  /// 64 bytes get proportionally fewer slots (768 for 512-byte blocks).
+  /// 64 bytes get proportionally fewer slots (768 for 512-byte blocks);
+  /// the 48-byte class of the binary trees' nodes gets min(6,144, 8,192).
   static constexpr std::size_t kStackSlots = 6144;
   static constexpr std::size_t kCacheBytes = std::size_t{384} << 10;
 
   /// Blocks the class's stack holds, and blocks moved per refill or (at
   /// least) per spill. The pointer array costs 8 bytes per slot: 48 KiB
-  /// for the 64-byte class.
+  /// for the 48-byte class.
   static constexpr std::size_t capacity(std::size_t size_class) noexcept {
     return std::min(kStackSlots,
                     kCacheBytes / PoolBackend::class_bytes(size_class));

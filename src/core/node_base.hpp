@@ -10,6 +10,10 @@
 //                 it (e.g. a split copy that a subsequent merge re-copied);
 //                 garbage the moment the attempt ends, win or lose.
 //
+// The byte is the node's first, and PNode's only, member: a derived node
+// declares its small balancing metadata (height, colour, a 32-bit size)
+// first, so it shares the byte's word instead of padding one of its own.
+//
 // Thread-safety: the byte is only ever written while the node is private
 // to one thread (between allocation and the root CAS that publishes it).
 // Other threads can reach the node only through an acquire load of a root

@@ -32,9 +32,9 @@ namespace pathcopy::persist {
 
 template <class K, class V>
 struct AvlNode : core::PNode {
+  std::uint32_t height;  // shares PNode's state word
   K key;
   V value;
-  std::uint32_t height;
   std::uint64_t size;
   const AvlNode* left;
   const AvlNode* right;
@@ -44,10 +44,8 @@ struct AvlNode : core::PNode {
   }
 
   AvlNode(const K& k, const V& v, const AvlNode* l, const AvlNode* r)
-      : key(k), value(v),
-        height(1 + std::max(height_of(l), height_of(r))),
-        size(1 + subtree_size(l) + subtree_size(r)),
-        left(l), right(r) {}
+      : height(1 + std::max(height_of(l), height_of(r))), key(k), value(v),
+        size(1 + subtree_size(l) + subtree_size(r)), left(l), right(r) {}
 };
 
 template <class K, class V, class Cmp = std::less<K>>

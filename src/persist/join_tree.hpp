@@ -12,9 +12,14 @@
 //
 //   Node                 derives core::PNode and has members key, value,
 //                        size (keys in the subtree, set by its constructor
-//                        through subtree_size), left and right, with the
-//                        scheme's metadata (priority, height, colour) laid
-//                        out between value and size.
+//                        through subtree_size), left and right. Metadata of
+//                        at most 32 bits (the treap's size, the AVL
+//                        height, the red-black colour) is declared first,
+//                        so it lands in the word PNode's state byte
+//                        starts: an <int64_t, int64_t> node is then 48 B,
+//                        exactly a pool class (tests/test_ordered_api.cpp
+//                        guards both). The treap's 64-bit priority follows
+//                        value.
 //   remake(b, n, v, l, r)
 //                        node constructor for a path copy: n's key, value
 //                        v, children l and r, and n's metadata (or

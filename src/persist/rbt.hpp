@@ -43,17 +43,16 @@ enum class RbColor : std::uint8_t { kRed = 0, kBlack = 1 };
 
 template <class K, class V>
 struct RbNode : core::PNode {
+  RbColor color;  // shares PNode's state word
   K key;
   V value;
-  RbColor color;
   std::uint64_t size;
   const RbNode* left;
   const RbNode* right;
 
   RbNode(RbColor c, const RbNode* l, const K& k, const V& v, const RbNode* r)
-      : key(k), value(v), color(c),
-        size(1 + subtree_size(l) + subtree_size(r)),
-        left(l), right(r) {}
+      : color(c), key(k), value(v),
+        size(1 + subtree_size(l) + subtree_size(r)), left(l), right(r) {}
 };
 
 template <class K, class V, class Cmp = std::less<K>>

@@ -33,19 +33,28 @@
 
 namespace pathcopy::persist {
 
+// The 32-bit size shares PNode's state word, which caps a treap at
+// 2^32 - 1 keys; the 64-bit priority keeps its full width because the
+// canonical shape depends on it.
 template <class K, class V>
 struct TreapNode : core::PNode {
+  std::uint32_t size;  // nodes in this subtree, including this one
   K key;
   V value;
   std::uint64_t prio;
-  std::uint64_t size;  // nodes in this subtree, including this one
   const TreapNode* left;
   const TreapNode* right;
 
   TreapNode(const K& k, const V& v, std::uint64_t p, const TreapNode* l,
             const TreapNode* r)
-      : key(k), value(v), prio(p),
-        size(1 + subtree_size(l) + subtree_size(r)), left(l), right(r) {}
+      : size(joined_size(l, r)), key(k), value(v), prio(p), left(l),
+        right(r) {}
+
+  static std::uint32_t joined_size(const TreapNode* l, const TreapNode* r) {
+    const std::uint64_t s = 1 + subtree_size(l) + subtree_size(r);
+    PC_ASSERT(s <= UINT32_MAX, "a treap holds at most 2^32 - 1 keys");
+    return static_cast<std::uint32_t>(s);
+  }
 };
 
 template <class K, class V, class Cmp = std::less<K>>

@@ -524,9 +524,9 @@ TEST(Pool, FreePathsLeaveFreedBlocksUntouched) {
 }
 
 namespace {
-/// A 64-byte node, the paper workload's treap-node size class.
+/// A 48-byte node, the paper workload's treap-node size class.
 struct PathNode {
-  std::uint64_t words[8] = {};
+  std::uint64_t words[6] = {};
 };
 }  // namespace
 

@@ -15,6 +15,7 @@
 
 #include "alloc/arena_alloc.hpp"
 #include "alloc/malloc_alloc.hpp"
+#include "alloc/pool_alloc.hpp"
 #include "core/atom.hpp"
 #include "persist/avl.hpp"
 #include "persist/btree.hpp"
@@ -99,11 +100,27 @@ using Structures =
 TYPED_TEST_SUITE(OrderedApi, Structures);
 
 // Node size sets bytes per key and the bytes copied per path node; the
-// shared join-tree core must not grow any binary tree's node.
-static_assert(sizeof(persist::Treap<std::int64_t, std::int64_t>::Node) == 56);
-static_assert(sizeof(persist::AvlTree<std::int64_t, std::int64_t>::Node) == 56);
+// shared join-tree core must not grow any binary tree's node. Each scheme's
+// metadata sits in PNode's state word, so all four join-tree nodes are 48 B.
+static_assert(sizeof(persist::Treap<std::int64_t, std::int64_t>::Node) == 48);
+static_assert(sizeof(persist::AvlTree<std::int64_t, std::int64_t>::Node) == 48);
 static_assert(sizeof(persist::WbTree<std::int64_t, std::int64_t>::Node) == 48);
-static_assert(sizeof(persist::RbTree<std::int64_t, std::int64_t>::Node) == 56);
+static_assert(sizeof(persist::RbTree<std::int64_t, std::int64_t>::Node) == 48);
+
+// A node that reopens padding would spill into the next pool class: every
+// binary node must exactly fill the pool block it is carved from.
+template <class S>
+constexpr bool fills_pool_class() {
+  using N = typename S::Node;
+  return alloc::PoolBackend::class_bytes(
+             alloc::PoolBackend::class_of(sizeof(N))) == sizeof(N);
+}
+static_assert(fills_pool_class<persist::Treap<std::int64_t, std::int64_t>>());
+static_assert(fills_pool_class<persist::AvlTree<std::int64_t, std::int64_t>>());
+static_assert(fills_pool_class<persist::WbTree<std::int64_t, std::int64_t>>());
+static_assert(fills_pool_class<persist::RbTree<std::int64_t, std::int64_t>>());
+static_assert(
+    fills_pool_class<persist::ExternalBst<std::int64_t, std::int64_t>>());
 
 TYPED_TEST(OrderedApi, EmptyTreeEdgeCases) {
   TypeParam t;

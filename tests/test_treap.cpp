@@ -450,5 +450,25 @@ TEST(Treap, CheckInvariantsRejectsAChildThatOutranksItsParent) {
   EXPECT_FALSE(T::from_root(&ten).check_invariants());
 }
 
+// The size field is 32 bits wide: hand-built children whose sizes sum to
+// 2^32 - 2 give a parent of exactly 2^32 - 1 keys, reported untruncated;
+// one key more trips the constructor's always-on check.
+TEST(Treap, SizeFieldHoldsTwoToTheThirtyTwoMinusOneKeys) {
+  using N = T::Node;
+  constexpr std::uint64_t kMax = 0xFFFFFFFFu;
+  N lo(5, 50, /*prio=*/1, nullptr, nullptr);
+  N hi(15, 150, /*prio=*/2, nullptr, nullptr);
+  lo.size = static_cast<std::uint32_t>((kMax - 1) / 2);
+  hi.size = static_cast<std::uint32_t>((kMax - 1) - lo.size);
+  const N root(10, 100, /*prio=*/3, &lo, &hi);
+  EXPECT_EQ(persist::subtree_size(&root), kMax);
+  EXPECT_EQ(T::from_root(&root).size(), kMax);
+
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  hi.size += 1;
+  EXPECT_DEATH({ const N over(10, 100, 3, &lo, &hi); },
+               "at most 2\\^32 - 1 keys");
+}
+
 }  // namespace
 }  // namespace pathcopy
